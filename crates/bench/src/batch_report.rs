@@ -9,7 +9,10 @@
 //! and emits `BENCH_batch.json`. Each repetition times the sequential and
 //! batched flavor back-to-back and the speedup is the median per-rep
 //! ratio, so shared-machine throughput swings hit both flavors alike
-//! (the same pairing discipline as `BENCH_robustness.json`).
+//! (the same pairing discipline as `BENCH_robustness.json`). Each entry
+//! also records the bytes and FLOPs per question and the best batched
+//! pass's achieved GB/s and GFLOP/s, so the curve's distance from the
+//! memory roofline is a number.
 
 use crate::table::{f, ExperimentTable};
 use crate::Scale;
@@ -41,6 +44,15 @@ pub struct BatchEntry {
     pub batched_qps: f64,
     /// Median of the per-repetition sequential/batched time ratios.
     pub speedup: f64,
+    /// Memory bytes the batched pass streams per question: both planes
+    /// once per batch, shared by its `nq` questions.
+    pub bytes_per_q: f64,
+    /// Floating-point operations per question, as the engine counts them.
+    pub flops_per_q: u64,
+    /// Achieved memory bandwidth of the best batched pass, GB/s.
+    pub batched_gbps: f64,
+    /// Achieved arithmetic rate of the best batched pass, GFLOP/s.
+    pub batched_gflops: f64,
 }
 
 /// A full batched-throughput run.
@@ -104,6 +116,7 @@ pub fn run(scale: Scale) -> BatchReport {
             }
             t0.elapsed().as_secs_f64()
         };
+        // Returns the pass time and question 0's flop count.
         let batched_pass = |scratch: &mut Scratch, trace: &mut Trace| {
             let t0 = Instant::now();
             let results = exec
@@ -118,34 +131,45 @@ pub fn run(scale: Scale) -> BatchReport {
                 )
                 .expect("batched pass");
             let elapsed = t0.elapsed().as_secs_f64();
-            for r in results {
-                scratch.recycle(r.expect("fault-free question").o);
+            let mut flops = 0;
+            for (q, r) in results.into_iter().enumerate() {
+                let out = r.expect("fault-free question");
+                if q == 0 {
+                    flops = out.stats.flops;
+                }
+                scratch.recycle(out.o);
             }
-            elapsed
+            (elapsed, flops)
         };
 
         // Warm both flavors: grows the scratch arena (including the batch
         // tile) so timed passes are allocation-free.
         sequential_pass(&mut scratch, &mut trace);
-        batched_pass(&mut scratch, &mut trace);
+        let (_, flops_per_q) = batched_pass(&mut scratch, &mut trace);
 
         let (mut best_seq, mut best_batch) = (f64::INFINITY, f64::INFINITY);
         let mut ratios = Vec::with_capacity(reps);
         for _ in 0..reps {
             let s = sequential_pass(&mut scratch, &mut trace);
-            let b = batched_pass(&mut scratch, &mut trace);
+            let (b, _) = batched_pass(&mut scratch, &mut trace);
             best_seq = best_seq.min(s);
             best_batch = best_batch.min(b);
             ratios.push(s / b);
         }
 
+        let bytes_per_q = (2 * ns * ed * 4) as f64 / nq as f64;
+        let batched_qps = nq as f64 / best_batch;
         entries.push(BatchEntry {
             nq,
             sequential_seconds: best_seq,
             batched_seconds: best_batch,
             sequential_qps: nq as f64 / best_seq,
-            batched_qps: nq as f64 / best_batch,
+            batched_qps,
             speedup: median(&mut ratios),
+            bytes_per_q,
+            flops_per_q,
+            batched_gbps: bytes_per_q * batched_qps / 1e9,
+            batched_gflops: flops_per_q as f64 * batched_qps / 1e9,
         });
     }
 
@@ -199,7 +223,15 @@ impl BatchReport {
     pub fn table(&self) -> ExperimentTable {
         let mut t = ExperimentTable::new(
             "Batched serving: questions/sec on the tiled GEMM fast path",
-            &["nq", "seq q/s", "batched q/s", "speedup"],
+            &[
+                "nq",
+                "seq q/s",
+                "batched q/s",
+                "speedup",
+                "MB/q",
+                "GB/s",
+                "GFLOP/s",
+            ],
         );
         for e in &self.entries {
             t.row(vec![
@@ -207,6 +239,9 @@ impl BatchReport {
                 f(e.sequential_qps),
                 f(e.batched_qps),
                 format!("{:.2}x", e.speedup),
+                format!("{:.2}", e.bytes_per_q / 1e6),
+                format!("{:.2}", e.batched_gbps),
+                format!("{:.2}", e.batched_gflops),
             ]);
         }
         t.note(format!(
@@ -255,7 +290,14 @@ impl BatchReport {
                 e.sequential_qps
             ));
             out.push_str(&format!("      \"batched_qps\": {:.3},\n", e.batched_qps));
-            out.push_str(&format!("      \"speedup\": {:.4}\n", e.speedup));
+            out.push_str(&format!("      \"speedup\": {:.4},\n", e.speedup));
+            out.push_str(&format!("      \"bytes_per_q\": {:.1},\n", e.bytes_per_q));
+            out.push_str(&format!("      \"flops_per_q\": {},\n", e.flops_per_q));
+            out.push_str(&format!("      \"batched_gbps\": {:.3},\n", e.batched_gbps));
+            out.push_str(&format!(
+                "      \"batched_gflops\": {:.3}\n",
+                e.batched_gflops
+            ));
             out.push_str(&format!(
                 "    }}{}\n",
                 if i + 1 < self.entries.len() { "," } else { "" }
@@ -288,6 +330,10 @@ mod tests {
             assert!(e.sequential_qps > 0.0, "nq={}", e.nq);
             assert!(e.batched_qps > 0.0, "nq={}", e.nq);
             assert!(e.speedup.is_finite() && e.speedup > 0.0, "nq={}", e.nq);
+            // Traffic per question falls as 1/nq; work per question does not.
+            let first = &report.entries[0];
+            assert_eq!(e.bytes_per_q * e.nq as f64, first.bytes_per_q);
+            assert_eq!(e.flops_per_q, first.flops_per_q);
         }
     }
 
@@ -303,6 +349,9 @@ mod tests {
             "\"target_speedup\"",
             "\"meets_target\"",
             "\"speedup\"",
+            "\"bytes_per_q\"",
+            "\"flops_per_q\"",
+            "\"batched_gbps\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

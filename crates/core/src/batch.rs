@@ -39,9 +39,9 @@ use mnn_tensor::{kernels, Matrix, QuantMatrix};
 
 /// Batched column-based engine.
 ///
-/// Produces results identical to running [`ColumnEngine`] per question,
-/// while streaming the memories once per *batch* instead of once per
-/// question.
+/// Produces results bitwise identical to running [`ColumnEngine`] per
+/// question (single-threaded), while streaming the memories once per
+/// *batch* instead of once per question.
 ///
 /// ```
 /// use mnn_tensor::Matrix;
@@ -55,7 +55,7 @@ use mnn_tensor::{kernels, Matrix, QuantMatrix};
 /// let batched = BatchEngine::new(config).forward(&m_in, &m_out, &questions).unwrap();
 /// let single = ColumnEngine::new(config).forward(&m_in, &m_out, &questions[0]).unwrap();
 /// for (a, b) in batched.outputs[0].o.iter().zip(&single.o) {
-///     assert!((a - b).abs() < 1e-5);
+///     assert_eq!(a.to_bits(), b.to_bits());
 /// }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,8 +95,9 @@ impl BatchEngine {
     /// # Errors
     ///
     /// Returns [`EngineError`] on invalid configuration or mismatched
-    /// shapes. [`SkipPolicy::Probability`] is resolved per question with
-    /// the same two-pass semantics as the single-question engine.
+    /// shapes, and [`EngineError::WorkerPanicked`] when a scale-out worker
+    /// thread panics. [`SkipPolicy::Probability`] is resolved per question
+    /// with the same two-pass semantics as the single-question engine.
     pub fn forward(
         &self,
         m_in: &Matrix,
@@ -144,11 +145,15 @@ impl BatchEngine {
                         self.process_rows(m_in, m_out, us_flat, nq, thresholds, start, end)
                     }));
                 }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batched worker panicked"))
-                    .collect::<Vec<_>>()
+                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
             });
+            // A worker that panicked (a poisoned chunk kernel, a violated
+            // slice invariant) fails the pass with a typed error, as in
+            // `ParallelEngine`, instead of unwinding through the caller.
+            let partials = partials
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| EngineError::WorkerPanicked)?;
 
             let mut merged: Option<BatchAccum> = None;
             let mut stats_acc = vec![InferenceStats::default(); nq];
@@ -277,10 +282,14 @@ impl BatchEngine {
     /// prune (no running max exists until the division).
     ///
     /// Each chunk of memories is streamed once per batch and applied to
-    /// every live question while cache-resident, but per question the
-    /// arithmetic is the exact single-question kernel sequence accumulated
-    /// straight into the running accumulator — so every answer (f32 and
-    /// int8 alike) is bitwise identical to a per-question
+    /// every live question while cache-resident: one tiled batched
+    /// accumulate ([`LazyAccumulator::accumulate_chunk_batch`] or
+    /// [`OnlineSoftmax::accumulate_chunk_batch`]) fills every live
+    /// question's chunk partial, and each partial merges into its running
+    /// accumulator as in the single-question engine. The tiled kernels are
+    /// the single definition of the f32 arithmetic (per-row FMA chain,
+    /// `hsum4` tree, row-ordered accumulate), so every answer is bitwise
+    /// identical to a per-question
     /// [`crate::Executor::forward_segmented_budgeted`] run with the same
     /// config. Network serving relies on this: a coalesced batch returns
     /// the same bits as a sequence of single-question asks.
@@ -447,56 +456,65 @@ impl BatchEngine {
                         }
                         // The chunk is streamed from memory once and applied
                         // to every live question while resident — that is the
-                        // batching win. Per question the discipline is the
-                        // *exact* single-question sequence from
-                        // `ColumnEngine::forward_segmented_budgeted`: reset a
-                        // chunk partial, fill it with the same kernels
-                        // `process_chunk_flat` uses (fused chunk kernel, or
-                        // gemv + per-row add), then merge it into the running
-                        // accumulator. Identical kernels + identical merge
-                        // order make every f32 answer bitwise identical to a
-                        // per-question run with the same config.
+                        // batching win. Each question fills a fresh chunk
+                        // partial and merges it into its running accumulator,
+                        // the single-question engine's discipline; the tiled
+                        // kernels give each question the bits its lone pass
+                        // would compute (see `mnn_tensor::simd`).
                         let t0 = trace.begin();
-                        for q in 0..nq {
-                            if !batch_seg_live[q] {
-                                continue;
-                            }
-                            let uq = &batch_us[q * ed..(q + 1) * ed];
-                            let (mut acc, mut partial) = match mode {
-                                SoftmaxMode::Lazy => (
-                                    AccumMut::Lazy(&mut batch_lazy[q]),
-                                    AccumMut::Lazy(&mut batch_chunk_lazy[q]),
-                                ),
-                                SoftmaxMode::Online => (
-                                    AccumMut::Online(&mut batch_online[q]),
-                                    AccumMut::Online(&mut batch_chunk_online[q]),
-                                ),
-                            };
-                            partial.reset(ed);
-                            batch_skipped[q] = if fused {
-                                partial.accumulate_chunk(
+                        let live = &batch_seg_live[..nq];
+                        match mode {
+                            SoftmaxMode::Lazy => {
+                                let partials = &mut batch_chunk_lazy[..nq];
+                                for (p, _) in partials.iter_mut().zip(live).filter(|(_, l)| **l) {
+                                    p.reset(ed);
+                                }
+                                LazyAccumulator::accumulate_chunk_batch(
+                                    partials,
                                     in_flat,
                                     out_flat,
                                     n,
-                                    uq,
-                                    batch_thresholds[q],
-                                )
-                            } else {
-                                let lq = &mut batch_logits[..n];
-                                kernels::gemv_chunk(in_flat, n, uq, lq);
-                                let mut sk = 0u64;
-                                for (i, &x) in lq.iter().enumerate() {
-                                    if partial.add(
-                                        x,
-                                        &out_flat[i * ed..(i + 1) * ed],
-                                        batch_thresholds[q],
-                                    ) {
-                                        sk += 1;
-                                    }
+                                    batch_us,
+                                    batch_thresholds,
+                                    live,
+                                    fused,
+                                    batch_logits,
+                                    batch_skipped,
+                                );
+                                for ((run, p), _) in batch_lazy
+                                    .iter_mut()
+                                    .zip(partials.iter())
+                                    .zip(live)
+                                    .filter(|(_, l)| **l)
+                                {
+                                    mnn_tensor::partial::merge_lazy_into(run, p);
                                 }
-                                sk
-                            };
-                            acc.merge_from(&partial);
+                            }
+                            SoftmaxMode::Online => {
+                                let partials = &mut batch_chunk_online[..nq];
+                                for (p, _) in partials.iter_mut().zip(live).filter(|(_, l)| **l) {
+                                    p.reset(ed);
+                                }
+                                OnlineSoftmax::accumulate_chunk_batch(
+                                    partials,
+                                    in_flat,
+                                    out_flat,
+                                    n,
+                                    batch_us,
+                                    batch_thresholds,
+                                    live,
+                                    batch_logits,
+                                    batch_skipped,
+                                );
+                                for ((run, p), _) in batch_online
+                                    .iter_mut()
+                                    .zip(partials.iter())
+                                    .zip(live)
+                                    .filter(|(_, l)| **l)
+                                {
+                                    mnn_tensor::partial::merge_online_into(run, p);
+                                }
+                            }
                         }
                         trace.record(Phase::BatchGemm, t0, n as u64 * n_live);
                         let mut chunk_skipped = 0u64;

@@ -1,11 +1,13 @@
 //! Batched == per-question parity on awkward shapes.
 //!
 //! The batched engine must reproduce the single-question [`ColumnEngine`]
-//! to 1e-4 — with *identical* `rows_skipped` — across Lazy/Online softmax ×
-//! every skip policy × fused/unfused × the forced-scalar backend, including
-//! the shapes that stress kernel edges: `nq = 1` (no 2-question tile),
-//! `ns` not a multiple of the chunk, `chunk > ns` (single short chunk), and
-//! `ed = 1` (no SIMD lanes).
+//! bit for bit — with *identical* `rows_skipped` — across Lazy/Online
+//! softmax × every skip policy × fused/unfused × the forced-scalar backend,
+//! including the shapes that stress kernel edges: `nq = 1` (no 2-question
+//! tile), `ns` not a multiple of the chunk, `chunk > ns` (single short
+//! chunk), `ed = 1` (no SIMD lanes), and the serving shapes: full 2×4
+//! tiles at ed 64, a `k`-tail with an odd question count, and a row count
+//! that leaves a padded tile.
 //!
 //! This lives in its own integration binary so forcing the scalar backend
 //! cannot race other tests: every test here funnels through
@@ -15,7 +17,7 @@
 use std::sync::Mutex;
 
 use mnn_tensor::simd::{self, Backend};
-use mnn_tensor::{assert_slice_approx_eq, Matrix};
+use mnn_tensor::Matrix;
 use mnnfast::{
     BatchEngine, Budget, ColumnEngine, MnnFastConfig, Scratch, SkipPolicy, SoftmaxMode, Trace,
 };
@@ -62,14 +64,26 @@ fn memories(ns: usize, ed: usize, nq: usize) -> (Matrix, Matrix, Vec<Vec<f32>>) 
 }
 
 /// Awkward (ns, ed, chunk, nq) corners: minimal everything, ed = 1, odd nq
-/// with a chunked remainder, chunk > ns, ns not a multiple of chunk.
-const SHAPES: [(usize, usize, usize, usize); 5] = [
+/// with a chunked remainder, chunk > ns, ns not a multiple of chunk — then
+/// serving-shaped rows: full 2×4 tiles at ed 64, a k-tail (ed 67) with odd
+/// nq, and rows % 4 != 0.
+const SHAPES: [(usize, usize, usize, usize); 8] = [
     (1, 1, 1, 1),
     (7, 1, 3, 2),
     (5, 4, 8, 3),
     (83, 8, 16, 5),
     (29, 6, 10, 1),
+    (259, 64, 64, 8),
+    (131, 67, 64, 9),
+    (6, 64, 64, 7),
 ];
+
+/// Asserts `got` and `want` carry exactly the same bits.
+fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "bitwise drift: {what}");
+}
 
 fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions: &[Vec<f32>]) {
     let batched = BatchEngine::new(config)
@@ -78,7 +92,8 @@ fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions
     let single = ColumnEngine::new(config);
     for (q, out) in batched.outputs.iter().enumerate() {
         let expect = single.forward(m_in, m_out, &questions[q]).unwrap();
-        assert_slice_approx_eq(&out.o, &expect.o, 1e-4);
+        assert_bits(&out.o, &expect.o, &format!("q{q}, {config:?}"));
+        assert_eq!(out.denominator.to_bits(), expect.denominator.to_bits());
         assert_eq!(
             out.stats.rows_skipped, expect.stats.rows_skipped,
             "skip counts must match exactly (q{q}, {config:?})"
@@ -103,7 +118,11 @@ fn assert_parity(config: MnnFastConfig, m_in: &Matrix, m_out: &Matrix, questions
         .unwrap();
     for (r, expect) in results.iter().zip(&batched.outputs) {
         let out = r.as_ref().unwrap();
-        assert_slice_approx_eq(&out.o, &expect.o, 1e-5);
+        assert_bits(
+            &out.o,
+            &expect.o,
+            &format!("budgeted vs one-shot, {config:?}"),
+        );
         assert_eq!(out.stats.rows_skipped, expect.stats.rows_skipped);
     }
 }

@@ -16,8 +16,8 @@
 use mnn_tensor::fault::{self, FaultKind};
 use mnn_tensor::{Matrix, QuantMatrix};
 use mnnfast::{
-    Budget, EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch, SegmentPlan,
-    SoftmaxMode, Trace,
+    BatchEngine, Budget, EngineError, EngineKind, ExecPlan, Executor, MnnFastConfig, Scratch,
+    SegmentPlan, SoftmaxMode, Trace,
 };
 use std::sync::Mutex;
 
@@ -189,4 +189,28 @@ fn panicking_worker_on_the_quant_plane_restores_the_scratch() {
         .zip(&reference.o)
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(same, "post-panic quant pass must match the reference");
+}
+
+#[test]
+fn panicking_batched_worker_surfaces_worker_panicked() {
+    let _guard = lock();
+    let (m_in, m_out, u) = memories(96, 8, 57);
+    let questions: Vec<Vec<f32>> = (0..3)
+        .map(|q| u.iter().map(|x| x * (1.0 + q as f32 * 0.25)).collect())
+        .collect();
+    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
+        let config = MnnFastConfig::new(8).with_threads(2).with_softmax(mode);
+        let engine = BatchEngine::new(config);
+
+        fault::arm(FaultKind::PanicChunk, 0, 1);
+        let err = with_quiet_panics(|| engine.forward(&m_in, &m_out, &questions)).unwrap_err();
+        let fires = fault::fired();
+        fault::disarm();
+        assert_eq!(err, EngineError::WorkerPanicked, "{mode:?}");
+        assert_eq!(fires, 1, "exactly one batched chunk panicked");
+
+        // The engine stays usable: the next pass answers every question.
+        let out = engine.forward(&m_in, &m_out, &questions).unwrap();
+        assert_eq!(out.outputs.len(), questions.len());
+    }
 }

@@ -63,6 +63,8 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
 ///
 /// This is the *inner product* step of the inference operation: each row of
 /// `M_IN` dotted against the question state `u` (Equation 1 of the paper).
+/// It runs [`gemv_chunk`] over the whole matrix, so every row logit has the
+/// same bits as in the chunked engines.
 ///
 /// # Errors
 ///
@@ -83,15 +85,16 @@ pub fn gemv(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<(), ShapeError> {
             format!("out of length {}", out.len()),
         ));
     }
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot(m.row(r), x);
-    }
+    gemv_chunk(m.as_slice(), m.rows(), x, out);
     Ok(())
 }
 
 /// Row-chunk GEMV over a flat row-major block: `out[i] = rows[i] · x` for
 /// `i` in `0..n_rows`. Used by the column-based algorithm, whose unit of
-/// work is a flat chunk of `M_IN` rather than a whole [`Matrix`].
+/// work is a flat chunk of `M_IN` rather than a whole [`Matrix`]. This is
+/// the width-1 case of [`gemm_chunk`]: each logit is bitwise the one a
+/// batch computes for the same row and question (see [`crate::simd`]'s
+/// one-definition rule).
 ///
 /// Shape checks (`chunk.len() == n_rows * x.len()`, `out.len() == n_rows`)
 /// are `debug_assert!`s — see the module-level caller-validates contract.
@@ -131,7 +134,8 @@ pub fn centroid_scores(centroids: &[f32], k: usize, u: &[f32], out: &mut [f32]) 
 /// algorithm (Section 4.1.2's `U × chunkᵀ` GEMM): one cache-resident chunk
 /// of `M_IN` is applied to every question before the next chunk streams in.
 /// Dispatches to the register-tiled AVX2 micro-kernel or the scalar
-/// per-question reference ([`crate::simd::gemm_chunk_with`]).
+/// per-question reference ([`crate::simd::gemm_chunk_with`]); either way
+/// question `q`'s logits are bitwise [`gemv_chunk`]'s.
 ///
 /// Shape checks (`us_flat.len() == nq * ed`, `chunk.len() == n_rows * ed`,
 /// `out.len() == nq * n_rows`) are `debug_assert!`s — see the module-level
@@ -405,8 +409,14 @@ mod tests {
             let u: Vec<f32> = (0..ed).map(|i| (i as f32 * 0.29).cos()).collect();
             let mut out = vec![0.0f32; k];
             centroid_scores(&centroids, k, &u, &mut out);
+            // Each centroid scored alone (a padded width-1 tile) must carry
+            // the same bits as its slot in the table-wide pass.
             let expect: Vec<f32> = (0..k)
-                .map(|c| dot(&centroids[c * ed..(c + 1) * ed], &u))
+                .map(|c| {
+                    let mut one = [0.0f32];
+                    gemv_chunk(&centroids[c * ed..(c + 1) * ed], 1, &u, &mut one);
+                    one[0]
+                })
                 .collect();
             assert_eq!(out, expect, "k={k} ed={ed}: must ride the same kernel");
         }
@@ -540,8 +550,17 @@ mod tests {
     #[test]
     fn gemm_chunk_agrees_with_per_question_gemv() {
         // Awkward shapes: rows not a multiple of the 4-row tile, ed not a
-        // multiple of the 8-lane width, odd question count.
-        for (n_rows, ed, nq) in [(7usize, 5usize, 3usize), (4, 8, 2), (1, 1, 1), (9, 13, 5)] {
+        // multiple of the 8-lane width, odd question count — plus full
+        // 2×4 tiles at ed 64 and a k-tail past whole 8-lane steps. The
+        // batched logits must carry exactly the per-question bits.
+        for (n_rows, ed, nq) in [
+            (7usize, 5usize, 3usize),
+            (4, 8, 2),
+            (1, 1, 1),
+            (9, 13, 5),
+            (12, 64, 8),
+            (6, 67, 7),
+        ] {
             let chunk: Vec<f32> = (0..n_rows * ed)
                 .map(|i| ((i as f32) * 0.31).sin())
                 .collect();
@@ -551,7 +570,12 @@ mod tests {
             for q in 0..nq {
                 let mut single = vec![0.0f32; n_rows];
                 gemv_chunk(&chunk, n_rows, &us_flat[q * ed..(q + 1) * ed], &mut single);
-                assert_slice_approx_eq(&batched[q * n_rows..(q + 1) * n_rows], &single, 1e-5);
+                let got: Vec<u32> = batched[q * n_rows..(q + 1) * n_rows]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let want: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "n_rows={n_rows} ed={ed} nq={nq} q={q}");
             }
         }
     }

@@ -31,6 +31,29 @@
 //! *across* backends agree only approximately (different accumulation
 //! widths, and the fused kernel's fast exp), within the tolerances asserted
 //! by the property tests.
+//!
+//! # One definition of the f32 forward arithmetic
+//!
+//! Within a backend, the chunk kernels share one arithmetic, so a lone
+//! question and any batch of questions get the same bits by construction:
+//!
+//! * **Row logit.** On AVX2 each (row, question) pair is one 8-lane FMA
+//!   chain over `k` from zero, reduced through the `hsum4` tree, then the
+//!   scalar `k`-tail. `hsum4` lane `i` depends only on accumulator `i`, so
+//!   the 2-question × 4-row tile of [`gemm_chunk_with`], the width-1 tile
+//!   of [`gemv_chunk_with`] and a padded remainder tile agree bit for bit.
+//!   The scalar backend uses [`dot_scalar`] per row everywhere.
+//! * **Weights and denominator.** [`lazy_weights_with`]: fast exp summed
+//!   lane-wise over blocks of eight rows, then one pairwise lane reduction
+//!   (AVX2), or libm `exp` summed in row order (scalar).
+//! * **Weighted sum.** [`weighted_rows_with`]: each question adds its kept
+//!   rows in row order with one FMA per lane — a row-ordered [`axpy_with`]
+//!   loop — however many questions share each loaded out row.
+//!
+//! [`fused_chunk_lazy_with`] composes the three for one question; the
+//! batched accumulate in `crate::softmax` composes them for many. The
+//! general-purpose [`dot_with`] keeps its four-accumulator order and is
+//! not a row-logit kernel.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -587,20 +610,11 @@ mod avx2 {
         }
     }
 
-    /// AVX2 row-chunk GEMV: one [`dot`] per row (rows are contiguous, so
-    /// the inner product streams the chunk once).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv_chunk(chunk: &[f32], n_rows: usize, x: &[f32], out: &mut [f32]) {
-        let cols = x.len();
-        for r in 0..n_rows {
-            out[r] = dot(&chunk[r * cols..(r + 1) * cols], x);
-        }
-    }
-
     /// Reduces four 8-lane accumulators to their four lane sums at once:
     /// two `hadd` levels interleave the partial sums, one cross-half add
-    /// finishes them, so lane `i` of the result is the full sum of `acc[i]`.
-    /// Six instructions for four dot products versus four `hsum` trees.
+    /// finishes them, so lane `i` of the result is the full sum of `acc[i]`
+    /// — and depends on `acc[i]` alone, which is what lets a padded tile
+    /// or a tile of any width produce the same bits for the same row.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn hsum4(acc: [__m256; 4]) -> __m128 {
@@ -610,16 +624,127 @@ mod avx2 {
         _mm_add_ps(_mm256_castps256_ps128(t), _mm256_extractf128_ps(t, 1))
     }
 
+    /// The row-logit micro-kernel: an `NQ`-question × 4-row tile. Each
+    /// (question, row) pair owns one 8-lane FMA chain over `k` starting
+    /// from zero; each `k`-step issues `NQ + 4` loads feeding `4 * NQ`
+    /// FMAs, so a loaded memory row is reused across the tile's questions.
+    /// Every question's four chains reduce through one [`hsum4`], then the
+    /// `k`-tail (`ed % 8` elements) is added in `k` order, lane `i` being
+    /// row `i` (multiply, then add). This is the *single definition* of an
+    /// f32 row logit: the result for a row depends only on that row and the
+    /// question, never on the tile width or on which rows share the tile
+    /// (a repeated row pointer pads a short tile).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; each `rows[i]` and `us[q]` must
+    /// address `ed` readable floats.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn logit_tile<const NQ: usize>(
+        rows: [*const f32; 4],
+        us: [*const f32; NQ],
+        ed: usize,
+    ) -> [__m128; NQ] {
+        let mut acc = [[_mm256_setzero_ps(); 4]; NQ];
+        let mut k = 0usize;
+        while k + 8 <= ed {
+            let mut v = [_mm256_setzero_ps(); NQ];
+            for (vq, uq) in v.iter_mut().zip(&us) {
+                *vq = _mm256_loadu_ps(uq.add(k));
+            }
+            for (i, row) in rows.iter().enumerate() {
+                let x = _mm256_loadu_ps(row.add(k));
+                for (aq, vq) in acc.iter_mut().zip(&v) {
+                    aq[i] = _mm256_fmadd_ps(x, *vq, aq[i]);
+                }
+            }
+            k += 8;
+        }
+        let mut sums = [_mm_setzero_ps(); NQ];
+        for ((s, aq), uq) in sums.iter_mut().zip(&acc).zip(&us) {
+            *s = hsum4(*aq);
+            for kk in k..ed {
+                let c = _mm_setr_ps(
+                    *rows[0].add(kk),
+                    *rows[1].add(kk),
+                    *rows[2].add(kk),
+                    *rows[3].add(kk),
+                );
+                *s = _mm_add_ps(*s, _mm_mul_ps(c, _mm_set1_ps(*uq.add(kk))));
+            }
+        }
+        sums
+    }
+
+    /// Row logits of `n_rows` contiguous rows against `NQ` questions:
+    /// `outs[q][r] = row_r · us[q]`, four rows per [`logit_tile`]; a short
+    /// last group repeats its final row to fill the tile and stores only
+    /// its valid lanes.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; `pc` must address `n_rows * ed`
+    /// readable floats, each `us[q]` `ed` floats and each `outs[q]`
+    /// `n_rows` writable floats.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn logit_rows<const NQ: usize>(
+        pc: *const f32,
+        n_rows: usize,
+        ed: usize,
+        us: [*const f32; NQ],
+        outs: [*mut f32; NQ],
+    ) {
+        let mut r = 0usize;
+        while r + 4 <= n_rows {
+            let rows = [0, 1, 2, 3].map(|i: usize| pc.add((r + i) * ed));
+            let sums = logit_tile::<NQ>(rows, us, ed);
+            for (s, o) in sums.iter().zip(&outs) {
+                _mm_storeu_ps(o.add(r), *s);
+            }
+            r += 4;
+        }
+        if r < n_rows {
+            let valid = n_rows - r;
+            let rows = [0, 1, 2, 3].map(|i: usize| pc.add((r + i.min(valid - 1)) * ed));
+            let sums = logit_tile::<NQ>(rows, us, ed);
+            for (s, o) in sums.iter().zip(&outs) {
+                let mut lanes = [0.0f32; 4];
+                _mm_storeu_ps(lanes.as_mut_ptr(), *s);
+                for (i, l) in lanes.iter().enumerate().take(valid) {
+                    *o.add(r + i) = *l;
+                }
+            }
+        }
+    }
+
+    /// Row-chunk GEMV: the width-1 tile of [`gemm_chunk`], so a lone
+    /// question's logits carry the same bits as its column of a batch.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; operand lengths are checked.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gemv_chunk(chunk: &[f32], n_rows: usize, x: &[f32], out: &mut [f32]) {
+        let ed = x.len();
+        assert!(
+            chunk.len() >= n_rows * ed && out.len() >= n_rows,
+            "gemv_chunk: short operands"
+        );
+        logit_rows::<1>(chunk.as_ptr(), n_rows, ed, [x.as_ptr()], [out.as_mut_ptr()]);
+    }
+
     /// Register-tiled chunk GEMM: `out[q * n_rows + r] = chunk_row_r · u_q`.
     ///
-    /// The micro-kernel computes a 2-question × 4-row tile: eight 8-lane FMA
-    /// accumulators live in registers, and each `k`-step issues six loads
-    /// (two question vectors, four memory rows) feeding eight FMAs — the
-    /// loaded chunk rows are reused across both questions, which is where
-    /// batching beats per-question [`gemv_chunk`]. Each question's four
-    /// accumulators reduce through one [`hsum4`] tree, keeping the tile
-    /// epilogue off the critical path at small `ed`. Remainder rows and the
-    /// odd trailing question fall back to one [`dot`] per pair.
+    /// Questions run in pairs through the 2-question × 4-row
+    /// [`logit_tile`] (eight accumulators in registers, each loaded chunk
+    /// row reused across both questions); an odd trailing question runs
+    /// the width-1 tile. Every logit is bitwise equal to [`gemv_chunk`]'s.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; operand lengths are checked.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_chunk(
         chunk: &[f32],
@@ -632,58 +757,230 @@ mod avx2 {
             return;
         }
         let ed = us_flat.len() / nq;
-        let pc = chunk.as_ptr();
+        assert!(
+            chunk.len() >= n_rows * ed && out.len() >= nq * n_rows,
+            "gemm_chunk: short operands"
+        );
+        let (pc, pu, po) = (chunk.as_ptr(), us_flat.as_ptr(), out.as_mut_ptr());
         let mut q = 0usize;
         while q + 2 <= nq {
-            let u0 = &us_flat[q * ed..(q + 1) * ed];
-            let u1 = &us_flat[(q + 1) * ed..(q + 2) * ed];
-            let mut r = 0usize;
-            while r + 4 <= n_rows {
-                let mut acc0 = [_mm256_setzero_ps(); 4];
-                let mut acc1 = [_mm256_setzero_ps(); 4];
-                let mut k = 0usize;
-                while k + 8 <= ed {
-                    let v0 = _mm256_loadu_ps(u0.as_ptr().add(k));
-                    let v1 = _mm256_loadu_ps(u1.as_ptr().add(k));
-                    for (i, (a0, a1)) in acc0.iter_mut().zip(acc1.iter_mut()).enumerate() {
-                        let row = _mm256_loadu_ps(pc.add((r + i) * ed + k));
-                        *a0 = _mm256_fmadd_ps(row, v0, *a0);
-                        *a1 = _mm256_fmadd_ps(row, v1, *a1);
-                    }
-                    k += 8;
-                }
-                let mut sums0 = [0.0f32; 4];
-                let mut sums1 = [0.0f32; 4];
-                _mm_storeu_ps(sums0.as_mut_ptr(), hsum4(acc0));
-                _mm_storeu_ps(sums1.as_mut_ptr(), hsum4(acc1));
-                for (i, (s0, s1)) in sums0.iter().zip(&sums1).enumerate() {
-                    let (mut s0, mut s1) = (*s0, *s1);
-                    for kk in k..ed {
-                        let c = *chunk.get_unchecked((r + i) * ed + kk);
-                        s0 += c * u0[kk];
-                        s1 += c * u1[kk];
-                    }
-                    out[q * n_rows + r + i] = s0;
-                    out[(q + 1) * n_rows + r + i] = s1;
-                }
-                r += 4;
-            }
-            while r < n_rows {
-                let row = &chunk[r * ed..(r + 1) * ed];
-                out[q * n_rows + r] = dot(row, u0);
-                out[(q + 1) * n_rows + r] = dot(row, u1);
-                r += 1;
-            }
+            logit_rows::<2>(
+                pc,
+                n_rows,
+                ed,
+                [pu.add(q * ed), pu.add((q + 1) * ed)],
+                [po.add(q * n_rows), po.add((q + 1) * n_rows)],
+            );
             q += 2;
         }
         if q < nq {
-            gemv_chunk(
-                chunk,
-                n_rows,
-                &us_flat[q * ed..(q + 1) * ed],
-                &mut out[q * n_rows..(q + 1) * n_rows],
-            );
+            logit_rows::<1>(pc, n_rows, ed, [pu.add(q * ed)], [po.add(q * n_rows)]);
         }
+    }
+
+    /// The zero-skip test on a weight: below the threshold. Never true for
+    /// a NaN weight or a `-inf` threshold, so `-inf` stands for "no skip".
+    #[inline]
+    fn skips(w: f32, th: f32) -> bool {
+        w < th
+    }
+
+    /// One column block of the weighted-sum tile: lanes `k..k + 8 * R` of
+    /// every question's accumulator stay in registers while all `n_rows`
+    /// rows stream past in order; each loaded out-row slice feeds one FMA
+    /// per lane for every question that keeps the row.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; `pout` must address `n_rows * ed`
+    /// readable floats, each `w[q]` `n_rows` readable floats and each
+    /// `ws[q]` `ed` writable floats, with `k + 8 * R <= ed`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn weighted_block<const NQ: usize, const R: usize>(
+        pout: *const f32,
+        ed: usize,
+        n_rows: usize,
+        k: usize,
+        w: [*const f32; NQ],
+        th: [f32; NQ],
+        ws: [*mut f32; NQ],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); R]; NQ];
+        for (aq, wsq) in acc.iter_mut().zip(&ws) {
+            for (j, a) in aq.iter_mut().enumerate() {
+                *a = _mm256_loadu_ps(wsq.add(k + 8 * j));
+            }
+        }
+        for r in 0..n_rows {
+            let mut x = [_mm256_setzero_ps(); R];
+            for (j, xj) in x.iter_mut().enumerate() {
+                *xj = _mm256_loadu_ps(pout.add(r * ed + k + 8 * j));
+            }
+            for ((aq, wq), tq) in acc.iter_mut().zip(&w).zip(&th) {
+                let wr = *wq.add(r);
+                if !skips(wr, *tq) {
+                    let wv = _mm256_set1_ps(wr);
+                    for (a, xj) in aq.iter_mut().zip(&x) {
+                        *a = _mm256_fmadd_ps(wv, *xj, *a);
+                    }
+                }
+            }
+        }
+        for (aq, wsq) in acc.iter().zip(&ws) {
+            for (j, a) in aq.iter().enumerate() {
+                _mm256_storeu_ps(wsq.add(k + 8 * j), *a);
+            }
+        }
+    }
+
+    /// The weighted-sum tile for `NQ` questions: `R` registers per question
+    /// per column block, then single-register blocks, then the scalar lane
+    /// tail (`ed % 8` lanes, multiply then add — exactly [`axpy`]'s tail).
+    /// Per lane every question sees its kept rows in row order, so the
+    /// result is bitwise a row-ordered [`axpy`] loop at any tile width.
+    ///
+    /// # Safety
+    ///
+    /// As [`weighted_block`], without the bound on `k`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn weighted_tile<const NQ: usize, const R: usize>(
+        pout: *const f32,
+        ed: usize,
+        n_rows: usize,
+        w: [*const f32; NQ],
+        th: [f32; NQ],
+        ws: [*mut f32; NQ],
+    ) {
+        let mut k = 0usize;
+        while k + 8 * R <= ed {
+            weighted_block::<NQ, R>(pout, ed, n_rows, k, w, th, ws);
+            k += 8 * R;
+        }
+        while k + 8 <= ed {
+            weighted_block::<NQ, 1>(pout, ed, n_rows, k, w, th, ws);
+            k += 8;
+        }
+        if k < ed {
+            for r in 0..n_rows {
+                for ((wq, tq), wsq) in w.iter().zip(&th).zip(&ws) {
+                    let wr = *wq.add(r);
+                    if !skips(wr, *tq) {
+                        for kk in k..ed {
+                            *wsq.add(kk) += wr * *pout.add(r * ed + kk);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// AVX2 [`super::weighted_rows_with`]: questions in tiles of up to
+    /// [`WEIGHTED_TILE`], eight accumulator registers per tile.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; operand lengths are checked.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn weighted_rows(
+        out_flat: &[f32],
+        n_rows: usize,
+        weights: &[&[f32]],
+        thresholds: &[Option<f32>],
+        ws: &mut [&mut [f32]],
+    ) {
+        let nq = ws.len();
+        let Some(ed) = ws.first().map(|w| w.len()) else {
+            return;
+        };
+        assert!(
+            out_flat.len() >= n_rows * ed
+                && weights.len() >= nq
+                && thresholds.len() >= nq
+                && weights[..nq].iter().all(|w| w.len() >= n_rows)
+                && ws.iter().all(|w| w.len() == ed),
+            "weighted_rows: short operands"
+        );
+        let pout = out_flat.as_ptr();
+        let mut q = 0usize;
+        while q < nq {
+            let g = (nq - q).min(WEIGHTED_TILE);
+            let w = |i: usize| weights[q + i].as_ptr();
+            let th = |i: usize| thresholds[q + i].unwrap_or(f32::NEG_INFINITY);
+            let p = |ws: &mut [&mut [f32]], i: usize| ws[q + i].as_mut_ptr();
+            match g {
+                4 => weighted_tile::<4, 2>(
+                    pout,
+                    ed,
+                    n_rows,
+                    [w(0), w(1), w(2), w(3)],
+                    [th(0), th(1), th(2), th(3)],
+                    [p(ws, 0), p(ws, 1), p(ws, 2), p(ws, 3)],
+                ),
+                3 => weighted_tile::<3, 2>(
+                    pout,
+                    ed,
+                    n_rows,
+                    [w(0), w(1), w(2)],
+                    [th(0), th(1), th(2)],
+                    [p(ws, 0), p(ws, 1), p(ws, 2)],
+                ),
+                2 => weighted_tile::<2, 4>(
+                    pout,
+                    ed,
+                    n_rows,
+                    [w(0), w(1)],
+                    [th(0), th(1)],
+                    [p(ws, 0), p(ws, 1)],
+                ),
+                _ => weighted_tile::<1, 8>(pout, ed, n_rows, [w(0)], [th(0)], [p(ws, 0)]),
+            }
+            q += g;
+        }
+    }
+
+    /// Exponentiates one block of up to eight logits in place (8-lane fast
+    /// exp; lanes past `block` are computed but never read), adds the valid
+    /// weights lane-wise into the denominator vector `vsum`, and returns
+    /// how many fall under `th`. Blocks of eight from the chunk's first row
+    /// plus one final [`hsum`] are the one denominator order of the lazy
+    /// softmax.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn weigh_block(w: &mut [f32; 8], block: usize, th: f32, vsum: &mut __m256) -> u64 {
+        let e = exp8(_mm256_loadu_ps(w.as_ptr()));
+        _mm256_storeu_ps(w.as_mut_ptr(), e);
+        let valid = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+            _mm256_set1_epi32(block as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        ));
+        *vsum = _mm256_add_ps(*vsum, _mm256_and_ps(e, valid));
+        let under = _mm256_and_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(e, _mm256_set1_ps(th)), valid);
+        u64::from(_mm256_movemask_ps(under).count_ones())
+    }
+
+    /// AVX2 [`super::lazy_weights_with`]: [`weigh_block`] over consecutive
+    /// blocks of eight.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn lazy_weights(x: &mut [f32], th: f32) -> (f32, u64) {
+        let mut vsum = _mm256_setzero_ps();
+        let mut skipped = 0u64;
+        let mut w = [0.0f32; 8];
+        for block in x.chunks_mut(8) {
+            w[..block.len()].copy_from_slice(block);
+            skipped += weigh_block(&mut w, block.len(), th, &mut vsum);
+            block.copy_from_slice(&w[..block.len()]);
+        }
+        (hsum(vsum), skipped)
     }
 
     /// AVX2 gather-sum: `out += Σ_j table[tokens[j]]`. Plain 8-lane adds
@@ -877,10 +1174,15 @@ mod avx2 {
         sum
     }
 
-    /// Fused lazy-softmax chunk kernel: one pass over the chunk's rows in
-    /// blocks of 8 — inner products, 8-lane fast exp, threshold test, and
-    /// the `ed`-wide weighted accumulate for kept rows. Returns the
-    /// denominator contribution and the number of skipped rows.
+    /// Fused lazy-softmax chunk kernel, in blocks of eight rows: width-1
+    /// [`logit_tile`]s, [`weigh_block`], then the block's kept rows folded
+    /// into `weighted_sum` by the width-1 [`weighted_tile`]. Bitwise equal
+    /// to this question's share of a batched pass. Returns the denominator
+    /// contribution and the number of skipped rows.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; operand lengths are checked.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fused_chunk_lazy(
         in_flat: &[f32],
@@ -891,29 +1193,38 @@ mod avx2 {
         weighted_sum: &mut [f32],
     ) -> (f32, u64) {
         let ed = u.len();
-        let mut denom = 0.0f32;
+        assert!(
+            in_flat.len() >= n_rows * ed
+                && out_flat.len() >= n_rows * ed
+                && weighted_sum.len() == ed,
+            "fused_chunk_lazy: short operands"
+        );
+        let th = raw_threshold.unwrap_or(f32::NEG_INFINITY);
+        let mut vsum = _mm256_setzero_ps();
         let mut skipped = 0u64;
-        let mut r = 0usize;
         let mut w = [0.0f32; 8];
+        let mut r = 0usize;
         while r < n_rows {
             let block = (n_rows - r).min(8);
-            for (j, wj) in w.iter_mut().enumerate().take(block) {
-                *wj = dot(&in_flat[(r + j) * ed..(r + j + 1) * ed], u);
-            }
-            // Exponentiate the whole block at once; lanes past `block`
-            // hold stale-but-finite values and are never read back.
-            let e = exp8(_mm256_loadu_ps(w.as_ptr()));
-            _mm256_storeu_ps(w.as_mut_ptr(), e);
-            for (j, &wj) in w.iter().enumerate().take(block) {
-                denom += wj;
-                match raw_threshold {
-                    Some(th) if wj < th => skipped += 1,
-                    _ => axpy(wj, &out_flat[(r + j) * ed..(r + j + 1) * ed], weighted_sum),
-                }
-            }
+            logit_rows::<1>(
+                in_flat.as_ptr().add(r * ed),
+                block,
+                ed,
+                [u.as_ptr()],
+                [w.as_mut_ptr()],
+            );
+            skipped += weigh_block(&mut w, block, th, &mut vsum);
+            weighted_tile::<1, 8>(
+                out_flat.as_ptr().add(r * ed),
+                ed,
+                block,
+                [w.as_ptr()],
+                [th],
+                [weighted_sum.as_mut_ptr()],
+            );
             r += block;
         }
-        (denom, skipped)
+        (hsum(vsum), skipped)
     }
 
     /// AVX2 i8 dot product: 32 codes per iteration, each 16-code half
@@ -1108,11 +1419,11 @@ pub fn gemv_chunk_with(b: Backend, chunk: &[f32], n_rows: usize, x: &[f32], out:
 /// [`crate::kernels::gemm_chunk`] with an explicit backend: the batched
 /// chunk inner product `out[q * n_rows + r] = chunk_row_r · question_q`.
 ///
-/// The scalar reference runs one [`gemv_chunk_scalar`] per question and is
-/// therefore bitwise identical to the per-question path; AVX2 uses a
-/// register-tiled 2-question × 4-row micro-kernel that reuses each loaded
-/// chunk row across questions, so its results differ from per-question
-/// [`gemv_chunk_with`] by accumulation order only (ulp-level).
+/// Every logit is bitwise equal to [`gemv_chunk_with`]'s for the same row
+/// and question, on either backend: the scalar reference runs one
+/// [`gemv_chunk_scalar`] per question, and AVX2's 2-question × 4-row
+/// register tile gives each (question, row) pair the same 8-lane FMA
+/// chain, `hsum4` tree and scalar `k`-tail as the width-1 tile.
 #[inline]
 pub fn gemm_chunk_with(
     b: Backend,
@@ -1129,6 +1440,79 @@ pub fn gemm_chunk_with(
         Backend::Avx2 => unsafe { avx2::gemm_chunk(chunk, n_rows, us_flat, nq, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2 => gemm_chunk_scalar(chunk, n_rows, us_flat, nq, out),
+    }
+}
+
+/// Questions per weighted-sum tile in [`weighted_rows_with`]: callers that
+/// gather accumulators without allocating do so in groups of this size.
+pub const WEIGHTED_TILE: usize = 4;
+
+/// The weighted accumulate of the lazy softmax with an explicit backend:
+/// for every question `j`, `ws[j] += Σ_r weights[j][r] · out_row_r` over
+/// the `n_rows` rows of `out_flat` (row width `ws[j].len()`), skipping
+/// rows whose weight is below `thresholds[j]`.
+///
+/// Each lane of each accumulator sees its kept rows in row order with one
+/// FMA per row on AVX2 (multiply then add on the scalar backend and in the
+/// `ed % 8` lane tail) — bitwise a row-ordered [`axpy_with`] loop, whatever
+/// the number of questions. AVX2 shares each loaded out-row slice across a
+/// tile of up to [`WEIGHTED_TILE`] questions and keeps their accumulators
+/// in registers while the rows stream past.
+///
+/// # Panics
+///
+/// Panics if an operand is shorter than the shapes imply.
+pub fn weighted_rows_with(
+    b: Backend,
+    out_flat: &[f32],
+    n_rows: usize,
+    weights: &[&[f32]],
+    thresholds: &[Option<f32>],
+    ws: &mut [&mut [f32]],
+) {
+    match b {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot_with`; the kernel checks operand lengths.
+        Backend::Avx2 => unsafe { avx2::weighted_rows(out_flat, n_rows, weights, thresholds, ws) },
+        _ => {
+            for ((w, th), y) in weights.iter().zip(thresholds).zip(ws.iter_mut()) {
+                let ed = y.len();
+                for (r, &wr) in w[..n_rows].iter().enumerate() {
+                    match th {
+                        Some(t) if wr < *t => {}
+                        _ => axpy_scalar(wr, &out_flat[r * ed..(r + 1) * ed], y),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Lazy-softmax weights with an explicit backend: replaces each logit of
+/// one question's chunk with `e^{x}` and returns `(Σ e^{x}, rows below
+/// raw_threshold)`. AVX2 uses the 8-lane fast exp and sums lane-wise over
+/// blocks of eight rows from the chunk's first row, then reduces the eight
+/// lanes pairwise; the scalar backend uses libm `exp` and sums in row
+/// order. Both are exactly [`fused_chunk_lazy_with`]'s choices, so a
+/// batched pass and a lone question agree bit for bit.
+pub fn lazy_weights_with(b: Backend, x: &mut [f32], raw_threshold: Option<f32>) -> (f32, u64) {
+    let th = raw_threshold.unwrap_or(f32::NEG_INFINITY);
+    match b {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot_with`.
+        Backend::Avx2 => unsafe { avx2::lazy_weights(x, th) },
+        _ => {
+            let mut denom = 0.0f32;
+            let mut skipped = 0u64;
+            for v in x.iter_mut() {
+                *v = v.exp();
+                denom += *v;
+                if *v < th {
+                    skipped += 1;
+                }
+            }
+            (denom, skipped)
+        }
     }
 }
 
@@ -1170,7 +1554,11 @@ pub fn exp_slice_with(b: Backend, x: &mut [f32]) -> f32 {
 /// The scalar backend uses libm `exp` — bitwise identical to the two-pass
 /// reference path; AVX2 uses the fast exp, so fused-vs-two-pass agreement
 /// on that backend is approximate (within [`EXP_MAX_REL_ERROR`] per
-/// weight).
+/// weight). On either backend the result is bitwise one question's share
+/// of a batched pass ([`gemm_chunk_with`], [`lazy_weights_with`],
+/// [`weighted_rows_with`]): AVX2 runs the same width-1 logit tile, exp
+/// and denominator order, and row-ordered weighted tile, in blocks of
+/// eight rows.
 ///
 /// The caller guarantees `in_flat.len() == out_flat.len() == n_rows *
 /// u.len()` and `weighted_sum.len() == u.len()`; slice indexing panics

@@ -402,9 +402,12 @@ impl LazyAccumulator {
 
     /// Batched fused chunk accumulate: one [`crate::kernels::gemm_chunk`]
     /// computes every question's logits for the chunk while it is
-    /// cache-resident, then each live question's weights are exponentiated,
-    /// zero-skip-tested and folded into its own accumulator — the batched
-    /// counterpart of [`LazyAccumulator::accumulate_chunk`].
+    /// cache-resident, each live question's logits become weights and a
+    /// denominator ([`crate::simd::lazy_weights_with`]), and one weighted
+    /// tile ([`crate::simd::weighted_rows_with`]) folds the kept rows into
+    /// every live accumulator, sharing each loaded `M_OUT` row across the
+    /// tile's questions — the batched counterpart of
+    /// [`LazyAccumulator::accumulate_chunk`].
     ///
     /// * `accs` — one accumulator per question (`accs[q]` for question `q`).
     /// * `us_flat` — the `nq` question vectors concatenated (`nq × ed`).
@@ -412,17 +415,20 @@ impl LazyAccumulator {
     /// * `live` — questions whose accumulation is still wanted; dead
     ///   questions (expired budgets) are passed over without touching their
     ///   accumulator, while the rest of the batch proceeds.
-    /// * `fast_exp` — `true` uses the dispatched exp kernel
-    ///   ([`crate::simd::exp_slice_with`]: fast exp on AVX2, libm on
-    ///   scalar), matching the fused single-question path; `false` uses
-    ///   libm on every backend, matching the two-pass path.
+    /// * `fast_exp` — `true` is the fused single-question arithmetic (fast
+    ///   exp on AVX2, libm on scalar; the chunk's denominator summed, then
+    ///   added); `false` is the two-pass arithmetic (libm on every backend,
+    ///   each weight added to the denominator in turn).
     /// * `logits` — caller-provided workspace of at least `nq × n_rows`
     ///   (overwritten), so warm batched passes allocate nothing.
     /// * `skipped` — per-question skipped-row counters, incremented.
     ///
-    /// On the scalar backend the whole pass is bitwise identical to running
-    /// [`LazyAccumulator::accumulate_chunk`] per question (`fast_exp` or
-    /// not — scalar exp is libm either way).
+    /// On either backend, each question's result is bitwise identical to
+    /// running [`LazyAccumulator::accumulate_chunk`] on it alone
+    /// (`fast_exp`), or the two-pass `gemv_chunk` + per-row
+    /// [`LazyAccumulator::add_weighted`] / [`LazyAccumulator::add_skipped`]
+    /// sequence (not `fast_exp`): the kernels share one arithmetic (see
+    /// [`crate::simd`]).
     ///
     /// # Panics
     ///
@@ -446,7 +452,6 @@ impl LazyAccumulator {
         if nq == 0 || n_rows == 0 {
             return;
         }
-        let ed = us_flat.len() / nq;
         let poison = batch_fault_poison();
         let b = simd::backend();
         let logits = &mut logits[..nq * n_rows];
@@ -464,30 +469,48 @@ impl LazyAccumulator {
             }
             let lq = &mut logits[q * n_rows..(q + 1) * n_rows];
             if use_fast {
-                acc.denom += simd::exp_slice_with(b, lq);
-                for (r, &w) in lq.iter().enumerate() {
-                    match raw_thresholds[q] {
-                        Some(th) if w < th => skipped[q] += 1,
-                        _ => simd::axpy_with(
-                            b,
-                            w,
-                            &out_flat[r * ed..(r + 1) * ed],
-                            &mut acc.weighted_sum,
-                        ),
-                    }
-                }
+                let (denom, sk) = simd::lazy_weights_with(b, lq, raw_thresholds[q]);
+                acc.denom += denom;
+                skipped[q] += sk;
             } else {
-                for (r, &x) in lq.iter().enumerate() {
-                    let w = x.exp();
-                    match raw_thresholds[q] {
-                        Some(th) if w < th => {
-                            acc.add_skipped(w);
-                            skipped[q] += 1;
-                        }
-                        _ => acc.add_weighted(w, &out_flat[r * ed..(r + 1) * ed]),
+                for w in lq.iter_mut() {
+                    *w = w.exp();
+                    acc.denom += *w;
+                    if matches!(raw_thresholds[q], Some(th) if *w < th) {
+                        skipped[q] += 1;
                     }
                 }
             }
+        }
+        // The weighted tile, over the live questions in groups gathered
+        // on the stack.
+        const TILE: usize = simd::WEIGHTED_TILE;
+        let mut ws: [&mut [f32]; TILE] = std::array::from_fn(|_| Default::default());
+        let mut weights: [&[f32]; TILE] = [&[]; TILE];
+        let mut thresholds = [None; TILE];
+        let mut g = 0usize;
+        for (q, acc) in accs.iter_mut().enumerate() {
+            if !live[q] {
+                continue;
+            }
+            ws[g] = &mut acc.weighted_sum;
+            weights[g] = &logits[q * n_rows..(q + 1) * n_rows];
+            thresholds[g] = raw_thresholds[q];
+            g += 1;
+            if g == TILE {
+                simd::weighted_rows_with(b, out_flat, n_rows, &weights, &thresholds, &mut ws);
+                g = 0;
+            }
+        }
+        if g > 0 {
+            simd::weighted_rows_with(
+                b,
+                out_flat,
+                n_rows,
+                &weights[..g],
+                &thresholds[..g],
+                &mut ws[..g],
+            );
         }
     }
 
@@ -630,8 +653,9 @@ impl OnlineSoftmax {
     }
 
     /// Fused single-pass chunk accumulate, the online counterpart of
-    /// [`LazyAccumulator::accumulate_chunk`]: computes each row's logit with
-    /// the dispatched dot kernel and feeds it straight into
+    /// [`LazyAccumulator::accumulate_chunk`]: computes the row logits eight
+    /// at a time with [`crate::kernels::gemv_chunk`] (the same bits as a
+    /// batched [`crate::kernels::gemm_chunk`]) and feeds them straight into
     /// [`OnlineSoftmax::add`] / [`OnlineSoftmax::add_skipped`], skipping the
     /// weighted accumulate when [`OnlineSoftmax::relative_weight`] falls
     /// below `prob_threshold`. Returns the number of skipped rows.
@@ -680,17 +704,23 @@ impl OnlineSoftmax {
     ) -> u64 {
         let ed = u.len();
         let mut skipped = 0u64;
-        for r in 0..n_rows {
-            let mut logit = kernels::dot(&in_flat[r * ed..(r + 1) * ed], u);
-            if let Some(p) = poison_first.filter(|_| r == 0) {
-                logit = p;
-            }
-            match prob_threshold {
-                Some(th) if self.relative_weight(logit) < th => {
-                    self.add_skipped(logit);
-                    skipped += 1;
+        let mut block = [0.0f32; 8];
+        for r0 in (0..n_rows).step_by(block.len()) {
+            let n = (n_rows - r0).min(block.len());
+            kernels::gemv_chunk(&in_flat[r0 * ed..(r0 + n) * ed], n, u, &mut block[..n]);
+            for (i, &x) in block[..n].iter().enumerate() {
+                let r = r0 + i;
+                let logit = match poison_first {
+                    Some(p) if r == 0 => p,
+                    _ => x,
+                };
+                match prob_threshold {
+                    Some(th) if self.relative_weight(logit) < th => {
+                        self.add_skipped(logit);
+                        skipped += 1;
+                    }
+                    _ => self.add(logit, &out_flat[r * ed..(r + 1) * ed]),
                 }
-                _ => self.add(logit, &out_flat[r * ed..(r + 1) * ed]),
             }
         }
         skipped
