@@ -4,7 +4,8 @@
 //! coalescing and once at batch size 1. Emits the machine-readable
 //! `BENCH_serving.json`; with `--check` the process exits nonzero when
 //! the coalesced flavor fails to sustain the required speedup with p99
-//! under the SLO and shed under the bound.
+//! under the SLO and shed under the bound, or when its p50 at the lowest
+//! offered rate exceeds the low-load bound over batch-size-1.
 use mnn_bench::Scale;
 
 fn main() {
@@ -17,9 +18,11 @@ fn main() {
     }
     if std::env::args().any(|a| a == "--check") && !report.within_bounds() {
         eprintln!(
-            "serving bounds violated (speedup >= {}, shed < {}, p99 <= SLO)",
+            "serving bounds violated (speedup >= {}, shed < {}, p99 <= SLO, \
+             low-load p50 ratio <= {})",
             mnn_bench::serving_report::SPEEDUP_BOUND,
-            mnn_bench::serving_report::SHED_BOUND
+            mnn_bench::serving_report::SHED_BOUND,
+            mnn_bench::serving_report::LOW_LOAD_P50_BOUND
         );
         std::process::exit(1);
     }

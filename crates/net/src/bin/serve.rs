@@ -21,7 +21,7 @@
 //! | `--net-threads N` | connection-handling threads | `2` |
 //! | `--tenants T=N,...` | token=tenant pairs | `default=default` |
 //! | `--max-batch N` | coalescing flush occupancy | `8` |
-//! | `--batch-wait-us N` | coalescing max-wait (µs) | `1000` |
+//! | `--batch-wait-us N` | starvation bound for a partial batch while the scheduler never idles (µs); an idle scheduler dispatches at once | `1000` |
 //! | `--deadline-ms N` | per-question deadline (0 = none) | `0` |
 //! | `--precision P` | `f32` or `int8` | `f32` |
 //! | `--window N` | tenant memory window (0 = unbounded) | `0` |

@@ -4,7 +4,7 @@
 //! |----------|---------|
 //! | `MNNFAST_LISTEN` | socket address the server binds (`host:port`) |
 //! | `MNNFAST_NET_THREADS` | connection-handling threads |
-//! | `MNNFAST_BATCH_WAIT_US` | coalescing max-wait in microseconds (0 = flush immediately) |
+//! | `MNNFAST_BATCH_WAIT_US` | coalescing starvation bound in microseconds (0 = flush a partial queue on every request) |
 //!
 //! Like the rest of the repo's env surface, readers are strict — a typo'd
 //! value is a typed [`EnvVarError`], not a silent default — and unset or
@@ -59,8 +59,9 @@ pub fn net_threads_from_env() -> Result<Option<usize>, EnvVarError> {
 }
 
 /// Parses `MNNFAST_BATCH_WAIT_US`: the coalescing queue's max-wait in
-/// microseconds. `0` is legal and means "flush on the next scheduler
-/// pass" (occupancy-only batching).
+/// microseconds — the starvation bound for a partial queue while the
+/// scheduler's input never runs dry (an idle scheduler dispatches at
+/// once). `0` is legal and flushes partial queues after every request.
 ///
 /// # Errors
 ///

@@ -123,8 +123,9 @@ pub enum NetFrame {
         sentences: u64,
     },
     /// Client → server: ask a question (plain text). The request joins
-    /// the tenant's coalescing batch queue; the answer may arrive after
-    /// other traffic has filled the batch or its max-wait expired.
+    /// the tenant's coalescing batch queue with whatever else arrived
+    /// during the scheduler's current pass; the answer comes back once
+    /// that batch is dispatched.
     Ask {
         /// Client-chosen request id, echoed by the response.
         id: u64,

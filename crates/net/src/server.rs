@@ -1,23 +1,36 @@
 //! The multi-tenant serving front-end.
 //!
-//! Thread shape (no async runtime — non-blocking sockets on a polling
-//! readiness loop, the repo's offline-shim discipline applied to I/O):
+//! Thread shape (no async runtime — non-blocking sockets under `poll(2)`,
+//! declared through `extern "C"` against the libc std already links, the
+//! repo's offline-shim discipline applied to I/O). Every thread blocks
+//! until it has work; none wakes on a timer to look for it:
 //!
 //! - an **accept thread** blocks on the listener and deals new
 //!   connections round-robin to the net threads;
 //! - **N net threads** ([`ServerConfig::net_threads`]) each own their
-//!   connections: non-blocking reads accumulate bytes per connection and
-//!   [`mnn_wire::frame_len`] carves complete frames out zero-copy,
-//!   non-blocking writes drain each connection's outbox, and a condvar
-//!   park bounds the poll when nothing is ready. Authentication, text
-//!   encoding, the per-connection in-flight cap, and idle timeouts all
-//!   live here, off the scheduler's critical path;
+//!   connections and block in `poll(2)` on them plus one wake descriptor.
+//!   Readable sockets are read and [`mnn_wire::frame_len`] carves
+//!   complete frames out zero-copy; a connection whose outbox a
+//!   non-blocking write could not empty is polled for writability, so a
+//!   partial write resumes as soon as the socket drains. Responses from
+//!   the scheduler, newly accepted connections and shutdown arrive through
+//!   the wake descriptor; the only poll timeout is the next idle-connection
+//!   deadline. Authentication, text encoding, the per-connection in-flight
+//!   cap, and idle timeouts all live here, off the scheduler's critical
+//!   path;
 //! - one **scheduler thread** owns the [`SessionPool`] and is the only
-//!   thread that touches model state. Network asks feed the pool's
+//!   thread that touches model state. It blocks on the request channel;
+//!   each wake-up drains every request already waiting into the pool's
 //!   coalescing queues via `enqueue_tracked` — batching **across tenants
-//!   and connections** — and the thread sleeps precisely until the pool's
-//!   `next_flush_due` instant, so partially filled batches still flush
-//!   within [`BatchConfig::max_wait`] while full batches flush instantly.
+//!   and connections** — and, whenever the channel is empty, dispatches
+//!   the longest-waiting queue and drains again, until every queue is
+//!   empty; only then does it block (continuous batching). A batch is
+//!   exactly what arrived before its dispatch: at low load a lone question
+//!   runs at once, under backlog the batches fill. Full queues
+//!   still flush inline at [`BatchConfig::max_batch`], and
+//!   [`BatchConfig::max_wait`] is a starvation bound: while a busy tenant
+//!   keeps the channel from ever emptying, a partial queue older than it
+//!   is flushed mid-drain.
 //!
 //! Overload never drops a connection: admission-control sheds and
 //! in-flight-cap rejections both answer a typed [`NetFrame::Overloaded`]
@@ -36,9 +49,12 @@ use mnn_serve::{
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,13 +109,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// How long a net thread parks when no connection made progress. The
-/// loop is a polling readiness scan, so this bounds added latency.
-const PARK_BUSY: Duration = Duration::from_micros(200);
-/// Park bound when a net thread owns no connections at all.
-const PARK_IDLE: Duration = Duration::from_millis(2);
-/// Upper bound on the scheduler's sleep between flush checks.
-const SCHED_IDLE: Duration = Duration::from_millis(5);
 /// Grace period for draining outboxes at shutdown.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
 /// Retry hint when the per-connection in-flight cap rejects an ask.
@@ -116,13 +125,115 @@ struct Counters {
     frames_out: AtomicU64,
 }
 
-/// A net thread's parking spot: `true` means "work arrived, wake up".
-type Waker = Arc<(Mutex<bool>, Condvar)>;
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
 
-fn wake(waker: &Waker) {
-    let (flag, cv) = &**waker;
-    *flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
-    cv.notify_all();
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+
+impl PollFd {
+    fn new(fd: c_int, events: c_short) -> Self {
+        Self {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+
+    /// Whether the last poll found input, a hangup or an error: the cases
+    /// a read resolves.
+    fn readable(&self) -> bool {
+        self.revents & (POLLIN | POLLHUP | POLLERR) != 0
+    }
+}
+
+/// Blocks until a descriptor in `set` is ready or `timeout` passes (`None`
+/// waits indefinitely), filling in each `revents`. The timeout rounds up
+/// to whole milliseconds so a deadline is never woken for early. A signal
+/// interruption returns with no descriptor marked ready.
+fn wait_ready(set: &mut [PollFd], timeout: Option<Duration>) {
+    let timeout_ms = timeout.map_or(-1, |t| {
+        t.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
+    });
+    for p in set.iter_mut() {
+        p.revents = 0;
+    }
+    // SAFETY: `set` is a live, exclusively borrowed array of `set.len()`
+    // `pollfd`-layout records (`#[repr(C)]`, the C struct's field types);
+    // `poll` writes only their `revents` fields and keeps no pointer after
+    // returning. A failure (EINTR, or ENOMEM under memory pressure) leaves
+    // every `revents` zero and the caller simply loops.
+    unsafe {
+        poll(set.as_mut_ptr(), set.len() as c_ulong, timeout_ms);
+    }
+}
+
+/// The writing half of a net thread's wake line: a socket pair whose read
+/// end the thread polls beside its connections.
+#[derive(Debug)]
+struct Waker {
+    tx: UnixStream,
+    /// A wake byte is written and not yet drained, so further wakes can
+    /// skip the syscall: the pending byte already guarantees the poll
+    /// returns.
+    pending: AtomicBool,
+}
+
+impl Waker {
+    fn wake(&self) {
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            // At most one byte is ever in flight, so the non-blocking
+            // write cannot find the buffer full; an error means the net
+            // thread (the read end) is gone, and nothing is left to wake.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Empties the wake line's read end `rx`, then clears the pending
+    /// flag — in that order. A wake written after the drain stays in the
+    /// socket and returns the next poll at once; one that finds the flag
+    /// still set skips its write, but its work is already queued and the
+    /// pass that follows this call sees it. Clearing first would let the
+    /// drain swallow a byte whose flag stays set, and every later wake
+    /// would skip its write: a lost wake-up with no timer to end it.
+    fn rearm(&self, rx: &UnixStream) {
+        let mut buf = [0u8; 64];
+        loop {
+            match (&*rx).read(&mut buf) {
+                Ok(n) if n == buf.len() => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                _ => break,
+            }
+        }
+        // The swap's acquire pairs with the waker's release, so the pass
+        // after this call sees whatever was published before the wake.
+        self.pending.swap(false, Ordering::AcqRel);
+    }
+}
+
+/// Builds a wake line: the shared writer and the net thread's reader.
+fn wake_line() -> std::io::Result<(Arc<Waker>, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((
+        Arc::new(Waker {
+            tx,
+            pending: AtomicBool::new(false),
+        }),
+        rx,
+    ))
 }
 
 /// Pending response bytes for one connection, drained by its net thread.
@@ -140,7 +251,7 @@ struct ConnShared {
     outbox: Mutex<Outbox>,
     closed: AtomicBool,
     inflight: AtomicU32,
-    waker: Waker,
+    waker: Arc<Waker>,
 }
 
 impl ConnShared {
@@ -155,7 +266,7 @@ impl ConnShared {
             .unwrap_or_else(|e| e.into_inner())
             .queue
             .push_back(frame.encode());
-        wake(&self.waker);
+        self.waker.wake();
     }
 
     fn settle(&self, frame: &NetFrame) {
@@ -195,7 +306,7 @@ enum Request {
 pub struct NetServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    wakers: Vec<Waker>,
+    wakers: Vec<Arc<Waker>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -256,11 +367,13 @@ impl NetServer {
         let mut wakers = Vec::new();
         let mut registries: Vec<Arc<Mutex<Vec<TcpStream>>>> = Vec::new();
         for i in 0..config.net_threads {
-            let waker: Waker = Arc::new((Mutex::new(false), Condvar::new()));
+            let (waker, wake_rx) =
+                wake_line().map_err(|e| NetError::Spawn(format!("wake line: {e}")))?;
             let registry: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
             let thread = NetThread {
                 registry: registry.clone(),
                 waker: waker.clone(),
+                wake_rx,
                 auth: auth.clone(),
                 vocab: vocab.clone(),
                 counters: counters.clone(),
@@ -343,7 +456,7 @@ impl NetServer {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         for waker in &self.wakers {
-            wake(waker);
+            waker.wake();
         }
         // Unblock the accept thread's blocking accept.
         let _ = TcpStream::connect(self.addr);
@@ -366,7 +479,7 @@ impl Drop for NetServer {
 struct AcceptLoop {
     listener: TcpListener,
     registries: Vec<Arc<Mutex<Vec<TcpStream>>>>,
-    wakers: Vec<Waker>,
+    wakers: Vec<Arc<Waker>>,
     counters: Arc<Counters>,
     shutdown: Arc<AtomicBool>,
 }
@@ -397,7 +510,7 @@ impl AcceptLoop {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(stream);
-            wake(&self.wakers[next]);
+            self.wakers[next].wake();
             next = (next + 1) % self.registries.len();
         }
     }
@@ -410,16 +523,31 @@ struct Conn {
     inbuf: Vec<u8>,
     tenant: Option<String>,
     last_activity: Instant,
+    /// The last poll found input, a hangup or an error to read.
+    readable: bool,
     /// Close once the outbox drains (set after an unrecoverable frame
     /// error — the byte stream can no longer be trusted to re-sync).
     draining: bool,
     dead: bool,
 }
 
+impl Conn {
+    fn outbox_empty(&self) -> bool {
+        self.shared
+            .outbox
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .queue
+            .is_empty()
+    }
+}
+
 /// One connection-handling thread.
 struct NetThread {
     registry: Arc<Mutex<Vec<TcpStream>>>,
-    waker: Waker,
+    waker: Arc<Waker>,
+    /// The read end of this thread's wake line.
+    wake_rx: UnixStream,
     auth: Arc<BTreeMap<String, String>>,
     vocab: Arc<Vocabulary>,
     counters: Arc<Counters>,
@@ -432,6 +560,7 @@ struct NetThread {
 impl NetThread {
     fn run(self) {
         let mut conns: Vec<Conn> = Vec::new();
+        let mut set: Vec<PollFd> = Vec::new();
         loop {
             // Adopt newly accepted connections.
             for stream in self
@@ -451,6 +580,7 @@ impl NetThread {
                     inbuf: Vec::new(),
                     tenant: None,
                     last_activity: Instant::now(),
+                    readable: true,
                     draining: false,
                     dead: false,
                 });
@@ -461,22 +591,14 @@ impl NetThread {
                 return;
             }
 
-            let mut progress = false;
             for conn in &mut conns {
-                progress |= self.write_conn(conn);
-                if !conn.dead && !conn.draining {
-                    progress |= self.read_conn(conn);
+                if conn.readable && !conn.draining {
+                    self.read_conn(conn);
                 }
-                if conn.draining
-                    && !conn.dead
-                    && conn
-                        .shared
-                        .outbox
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .queue
-                        .is_empty()
-                {
+                // Every outbox is tried: a wake-up does not say whose
+                // responses arrived, and an empty outbox costs one lock.
+                self.write_conn(conn);
+                if conn.draining && !conn.dead && conn.outbox_empty() {
                     Self::close(conn, &self.counters);
                 }
                 if !conn.dead
@@ -488,21 +610,34 @@ impl NetThread {
             }
             conns.retain(|c| !c.dead);
 
-            if !progress {
-                let park = if conns.is_empty() {
-                    PARK_IDLE
-                } else {
-                    PARK_BUSY
-                };
-                let (flag, cv) = &*self.waker;
-                let mut ready = flag.lock().unwrap_or_else(|e| e.into_inner());
-                if !*ready {
-                    let (guard, _) = cv
-                        .wait_timeout(ready, park)
-                        .unwrap_or_else(|e| e.into_inner());
-                    ready = guard;
+            // Sleep until a socket is ready, the wake line fires, or the
+            // next idle connection is due to close.
+            set.clear();
+            set.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+            let mut idle_due: Option<Instant> = None;
+            for conn in &conns {
+                let mut events = 0;
+                if !conn.draining {
+                    events |= POLLIN;
                 }
-                *ready = false;
+                if !conn.outbox_empty() {
+                    events |= POLLOUT;
+                }
+                set.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                if conn.shared.inflight.load(Ordering::Acquire) == 0 {
+                    let due = conn.last_activity + self.idle_timeout;
+                    idle_due = Some(idle_due.map_or(due, |d| d.min(due)));
+                }
+            }
+            wait_ready(
+                &mut set,
+                idle_due.map(|d| d.saturating_duration_since(Instant::now())),
+            );
+            if set[0].readable() {
+                self.waker.rearm(&self.wake_rx);
+            }
+            for (conn, p) in conns.iter_mut().zip(&set[1..]) {
+                conn.readable = p.readable();
             }
         }
     }
@@ -517,13 +652,11 @@ impl NetThread {
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    /// Drains response bytes into the socket; returns whether any byte
-    /// moved.
-    fn write_conn(&self, conn: &mut Conn) -> bool {
+    /// Drains response bytes into the socket until it would block.
+    fn write_conn(&self, conn: &mut Conn) {
         if conn.dead {
-            return false;
+            return;
         }
-        let mut progress = false;
         let mut outbox = conn.shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
         while let Some(front) = outbox.queue.front() {
             let frame_len = front.len();
@@ -532,10 +665,9 @@ impl NetThread {
                 Ok(0) => {
                     drop(outbox);
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
                 Ok(n) => {
-                    progress = true;
                     outbox.front_written += n;
                     if outbox.front_written == frame_len {
                         outbox.queue.pop_front();
@@ -548,27 +680,23 @@ impl NetThread {
                 Err(_) => {
                     drop(outbox);
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
             }
         }
-        progress
     }
 
     /// Reads available bytes, carves complete frames out of the
-    /// accumulation buffer, and handles each; returns whether any byte
-    /// moved.
-    fn read_conn(&self, conn: &mut Conn) -> bool {
-        let mut progress = false;
+    /// accumulation buffer, and handles each.
+    fn read_conn(&self, conn: &mut Conn) {
         let mut tmp = [0u8; 16 * 1024];
         loop {
             match conn.stream.read(&mut tmp) {
                 Ok(0) => {
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
                 Ok(n) => {
-                    progress = true;
                     conn.last_activity = Instant::now();
                     conn.inbuf.extend_from_slice(&tmp[..n]);
                     if n < tmp.len() {
@@ -579,7 +707,7 @@ impl NetThread {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     Self::close(conn, &self.counters);
-                    return progress;
+                    return;
                 }
             }
         }
@@ -604,7 +732,7 @@ impl NetThread {
                                 message: e.to_string(),
                             });
                             conn.draining = true;
-                            return true;
+                            return;
                         }
                     }
                 }
@@ -619,11 +747,10 @@ impl NetThread {
                     });
                     conn.inbuf.clear();
                     conn.draining = true;
-                    return true;
+                    return;
                 }
             }
         }
-        progress
     }
 
     fn handle_frame(&self, conn: &mut Conn, frame: NetFrame) {
@@ -736,30 +863,21 @@ impl NetThread {
     /// Shutdown path: give each connection a grace period to flush its
     /// outbox, then close everything.
     fn drain_and_close(&self, conns: &mut Vec<Conn>) {
-        let start = Instant::now();
-        while start.elapsed() < DRAIN_GRACE {
-            let mut outstanding = false;
+        let grace_end = Instant::now() + DRAIN_GRACE;
+        let mut set = Vec::new();
+        loop {
+            set.clear();
             for conn in conns.iter_mut() {
-                if conn.dead {
-                    continue;
-                }
                 self.write_conn(conn);
-                if !conn.dead
-                    && !conn
-                        .shared
-                        .outbox
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .queue
-                        .is_empty()
-                {
-                    outstanding = true;
+                if !conn.dead && !conn.outbox_empty() {
+                    set.push(PollFd::new(conn.stream.as_raw_fd(), POLLOUT));
                 }
             }
-            if !outstanding {
+            let now = Instant::now();
+            if set.is_empty() || now >= grace_end {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            wait_ready(&mut set, Some(grace_end - now));
         }
         for conn in conns.iter_mut() {
             Self::close(conn, &self.counters);
@@ -783,48 +901,57 @@ struct Scheduler {
     admission: Option<AdmissionConfig>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    wakers: Vec<Waker>,
+    wakers: Vec<Arc<Waker>>,
     addr: SocketAddr,
     pending: HashMap<u64, PendingAsk>,
 }
 
 impl Scheduler {
+    /// Blocks for work, one pass per wake-up. The pool is empty whenever
+    /// this blocks, so there is no flush deadline to wake for.
     fn run(mut self) {
-        let mut drained = false;
+        // Disconnected: every net thread has exited; nothing can submit
+        // again.
+        while let Ok(first) = self.rx.recv() {
+            self.pass(first);
+        }
+    }
+
+    /// One scheduling pass: handles `first` and every request already
+    /// waiting behind it; whenever the channel runs dry, dispatches the
+    /// longest-waiting queue and drains again, until every queue is empty.
+    /// A batch is exactly what arrived before its dispatch, so at low load
+    /// a question runs at once and under backlog the batches fill. One
+    /// batch per idle moment, not every queue at once, lets the queues
+    /// still waiting take in what arrives during that batch.
+    fn pass(&mut self, first: Request) {
+        self.handle(first);
         loop {
-            let timeout = match self.pool.next_flush_due() {
-                Some(due) => due
-                    .saturating_duration_since(Instant::now())
-                    .min(SCHED_IDLE),
-                None => SCHED_IDLE,
-            };
-            match self.rx.recv_timeout(timeout) {
-                Ok(request) => self.handle(request, &mut drained),
-                Err(RecvTimeoutError::Timeout) => {}
-                // Every net thread has exited; nothing can submit again.
-                Err(RecvTimeoutError::Disconnected) => break,
+            while let Ok(request) = self.rx.try_recv() {
+                self.handle(request);
+                // Starvation bound: while a busy tenant keeps the channel
+                // from emptying, a partial queue older than `max_wait`
+                // still goes.
+                self.dispatch(SessionPool::flush_due);
             }
-            if !drained {
-                if self.shutdown.load(Ordering::Acquire) {
-                    // Drain: flush every queue so no accepted question
-                    // goes unanswered.
-                    if let Ok(answers) = self.pool.flush_all() {
-                        for ba in answers {
-                            self.route(ba);
-                        }
-                    }
-                    drained = true;
-                } else if let Ok(answers) = self.pool.flush_due() {
-                    for ba in answers {
-                        self.route(ba);
-                    }
-                }
+            if self.pool.pending_questions() == 0 {
+                return;
+            }
+            self.dispatch(SessionPool::flush_oldest);
+        }
+    }
+
+    /// Runs one of the pool's flushes and routes every answer it yields.
+    fn dispatch(&mut self, flush: fn(&mut SessionPool) -> Result<Vec<BatchedAnswer>, PoolError>) {
+        if let Ok(answers) = flush(&mut self.pool) {
+            for ba in answers {
+                self.route(ba);
             }
         }
     }
 
-    fn handle(&mut self, request: Request, drained: &mut bool) {
-        let shutting_down = self.shutdown.load(Ordering::Acquire) || *drained;
+    fn handle(&mut self, request: Request) {
+        let shutting_down = self.shutdown.load(Ordering::Acquire);
         match request {
             Request::Observe {
                 conn,
@@ -891,18 +1018,14 @@ impl Scheduler {
                 conn.push(&NetFrame::StatsResp(self.stats()));
             }
             Request::Shutdown { conn } => {
-                if !*drained {
-                    if let Ok(answers) = self.pool.flush_all() {
-                        for ba in answers {
-                            self.route(ba);
-                        }
-                    }
-                    *drained = true;
-                }
+                // Drain: every accepted question is answered before the
+                // acknowledgement; later requests see the flag and are
+                // refused.
+                self.dispatch(SessionPool::flush_all);
                 conn.push(&NetFrame::ShutdownAck);
                 self.shutdown.store(true, Ordering::Release);
                 for waker in &self.wakers {
-                    wake(waker);
+                    waker.wake();
                 }
                 // Unblock the accept thread.
                 let _ = TcpStream::connect(self.addr);
@@ -983,6 +1106,260 @@ fn retry_after_ms(needed: u64, available: u64, admission: Option<AdmissionConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnn_dataset::babi::{BabiGenerator, TaskKind};
+    use mnn_memnn::ModelConfig;
+
+    /// A scheduler over one tenant, `alice`, whose memory holds a short
+    /// story. Its queues flush only when told to (`max_batch` 64,
+    /// `max_wait` 30 s), so a test decides exactly when a question is
+    /// dispatched.
+    struct Rig {
+        scheduler: Scheduler,
+        tx: mpsc::Sender<Request>,
+        question: Vec<WordId>,
+        // Keeps the address the shutdown path connects to bound.
+        _listener: TcpListener,
+    }
+
+    fn rig() -> Rig {
+        let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 3);
+        let story = generator.story(6, 1);
+        let model = MemNet::new(
+            ModelConfig {
+                temporal: false,
+                position_encoding: true,
+                ..ModelConfig::for_generator(&generator, 16, 8)
+            },
+            1,
+        );
+        let mut pool = SessionPool::new(model, SessionConfig::default())
+            .unwrap()
+            .with_batching(BatchConfig {
+                max_batch: 64,
+                max_wait: Duration::from_secs(30),
+            });
+        pool.create_tenant("alice").unwrap();
+        for sentence in &story.sentences {
+            pool.observe("alice", sentence).unwrap();
+        }
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let (tx, rx) = mpsc::channel();
+        Rig {
+            scheduler: Scheduler {
+                pool,
+                vocab: Arc::new(generator.vocab().clone()),
+                rx,
+                admission: None,
+                shutdown: Arc::new(AtomicBool::new(false)),
+                counters: Arc::new(Counters::default()),
+                wakers: Vec::new(),
+                addr: listener.local_addr().unwrap(),
+                pending: HashMap::new(),
+            },
+            tx,
+            question: story.questions[0].tokens.clone(),
+            _listener: listener,
+        }
+    }
+
+    impl Rig {
+        /// Runs one scheduling pass over everything sent so far.
+        fn pass(&mut self) {
+            let first = self
+                .scheduler
+                .rx
+                .try_recv()
+                .expect("a request to start the pass");
+            self.scheduler.pass(first);
+        }
+    }
+
+    /// A connection as the scheduler sees it, plus its wake line's read
+    /// end (kept open so wakes have somewhere to go).
+    fn conn() -> (Arc<ConnShared>, UnixStream) {
+        let (waker, rx) = wake_line().unwrap();
+        let shared = ConnShared {
+            outbox: Mutex::new(Outbox::default()),
+            closed: AtomicBool::new(false),
+            inflight: AtomicU32::new(0),
+            waker,
+        };
+        (Arc::new(shared), rx)
+    }
+
+    /// An ask from `conn`, counted in flight the way `NetThread::submit`
+    /// counts it.
+    fn ask(conn: &Arc<ConnShared>, id: u64, tokens: &[WordId]) -> Request {
+        conn.inflight.fetch_add(1, Ordering::AcqRel);
+        Request::Ask {
+            conn: conn.clone(),
+            tenant: "alice".into(),
+            id,
+            tokens: tokens.to_vec(),
+        }
+    }
+
+    /// The frames queued for `conn`, in send order.
+    fn sent(conn: &ConnShared) -> Vec<NetFrame> {
+        conn.outbox
+            .lock()
+            .unwrap()
+            .queue
+            .iter()
+            .map(|bytes| NetFrame::decode(bytes).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_lone_ask_is_dispatched_when_the_pass_ends() {
+        let mut rig = rig();
+        let (conn, _rx) = conn();
+        rig.tx.send(ask(&conn, 1, &rig.question)).unwrap();
+        rig.pass();
+        // Neither max_batch nor max_wait was reached: the idle flush alone
+        // answered it.
+        let frames = sent(&conn);
+        assert!(
+            matches!(frames.as_slice(), [NetFrame::Answer { id: 1, .. }]),
+            "{frames:?}"
+        );
+        assert_eq!(rig.scheduler.pool.pending_questions(), 0);
+        assert_eq!(conn.inflight.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn asks_drained_in_one_pass_share_one_batch() {
+        let mut rig = rig();
+        let (conn, _rx) = conn();
+        for id in 0..5 {
+            rig.tx.send(ask(&conn, id, &rig.question)).unwrap();
+        }
+        rig.pass();
+        let stats = rig.scheduler.pool.stats();
+        assert_eq!(stats.batches_dispatched, 1, "one batch per pass");
+        assert_eq!(stats.batched_questions, 5);
+        let ids: Vec<u64> = sent(&conn)
+            .iter()
+            .map(|f| match f {
+                NetFrame::Answer { id, .. } => *id,
+                other => panic!("expected an answer, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn shutdown_drains_queued_questions_before_acking() {
+        // [Ask, Ask, Shutdown] in one drain: both asks are still queued
+        // when the shutdown is handled, so only its drain can answer them
+        // ahead of the acknowledgement.
+        let mut rig = rig();
+        let (conn, _rx) = conn();
+        rig.tx.send(ask(&conn, 1, &rig.question)).unwrap();
+        rig.tx.send(ask(&conn, 2, &rig.question)).unwrap();
+        rig.tx
+            .send(Request::Shutdown { conn: conn.clone() })
+            .unwrap();
+        rig.pass();
+        let frames = sent(&conn);
+        assert!(
+            matches!(
+                frames.as_slice(),
+                [
+                    NetFrame::Answer { id: 1, .. },
+                    NetFrame::Answer { id: 2, .. },
+                    NetFrame::ShutdownAck
+                ]
+            ),
+            "every queued ask is answered before the ack: {frames:?}"
+        );
+        let stats = rig.scheduler.pool.stats();
+        assert_eq!(stats.batches_dispatched, 1, "the drain flushed one batch");
+        assert_eq!(stats.batched_questions, 2);
+        assert_eq!(rig.scheduler.pool.pending_questions(), 0);
+        assert_eq!(conn.inflight.load(Ordering::Acquire), 0);
+        assert!(rig.scheduler.shutdown.load(Ordering::Acquire));
+
+        // After the drain, new work is refused, typed.
+        rig.tx.send(ask(&conn, 3, &rig.question)).unwrap();
+        rig.pass();
+        assert!(matches!(
+            sent(&conn).last(),
+            Some(NetFrame::Error {
+                id: 3,
+                code: NetErrorCode::Shutdown,
+                ..
+            })
+        ));
+        assert_eq!(conn.inflight.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn killed_client_mid_request_reclaims_the_slot() {
+        let mut rig = rig();
+        let (doomed, _rx) = conn();
+        rig.tx.send(ask(&doomed, 1, &rig.question)).unwrap();
+        let first = rig.scheduler.rx.try_recv().unwrap();
+        rig.scheduler.handle(first);
+        assert_eq!(
+            rig.scheduler.pool.pending_questions(),
+            1,
+            "the ask is queued"
+        );
+        // The client dies with its question queued server-side: its net
+        // thread closes the connection.
+        doomed.closed.store(true, Ordering::Release);
+        rig.scheduler.dispatch(SessionPool::flush_all);
+
+        // The orphaned question was flushed, its unroutable answer
+        // dropped, and its in-flight slot and routing entry reclaimed.
+        let stats = rig.scheduler.pool.stats();
+        assert_eq!(stats.questions_answered, 1);
+        assert_eq!(rig.scheduler.pool.pending_questions(), 0);
+        assert!(rig.scheduler.pending.is_empty(), "routing entry leaked");
+        assert_eq!(doomed.inflight.load(Ordering::Acquire), 0);
+        assert!(
+            sent(&doomed).is_empty(),
+            "nothing is sent to a closed socket"
+        );
+
+        // Serving continues at full health.
+        let (live, _rx) = conn();
+        rig.tx.send(ask(&live, 2, &rig.question)).unwrap();
+        rig.pass();
+        assert!(matches!(
+            sent(&live).as_slice(),
+            [NetFrame::Answer { id: 2, .. }]
+        ));
+        assert_eq!(rig.scheduler.pool.stats().questions_answered, 2);
+    }
+
+    #[test]
+    fn wake_line_coalesces_and_never_loses_a_wake() {
+        let (waker, rx) = wake_line().unwrap();
+        let ready = |rx: &UnixStream| {
+            let mut set = [PollFd::new(rx.as_raw_fd(), POLLIN)];
+            wait_ready(&mut set, Some(Duration::ZERO));
+            set[0].readable()
+        };
+        assert!(!ready(&rx));
+        // A burst of wakes writes one byte.
+        for _ in 0..3 {
+            waker.wake();
+        }
+        let mut buf = [0u8; 8];
+        assert_eq!((&rx).read(&mut buf).unwrap(), 1);
+        // Re-armed, the line is quiet until the next wake, which always
+        // lands.
+        waker.rearm(&rx);
+        assert!(!ready(&rx));
+        for _ in 0..100 {
+            waker.wake();
+            assert!(ready(&rx), "a wake after re-arming must be seen");
+            waker.rearm(&rx);
+            assert!(!ready(&rx));
+        }
+    }
 
     #[test]
     fn retry_hint_tracks_the_refill_rate() {

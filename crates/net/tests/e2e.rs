@@ -11,7 +11,9 @@ use mnn_net::{NetClient, NetErrorCode, NetServer, Response, ServerConfig, Tenant
 use mnn_serve::{AdmissionConfig, BatchConfig, Session, SessionConfig};
 use mnnfast::Precision;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const NS: usize = 8;
 
@@ -267,6 +269,10 @@ fn overload_sheds_typed_frames_and_recovers() {
     server.shutdown();
 }
 
+/// The socket-level half of the killed-client case. An idle scheduler
+/// answers at once, so whether the answer beats the hang-up is left to
+/// the OS here; the scheduler unit test of the same name pins the case
+/// where the connection closes while its question is still queued.
 #[test]
 fn killed_client_mid_request_reclaims_the_slot() {
     let (model, vocab, stories) = trained_model();
@@ -274,15 +280,7 @@ fn killed_client_mid_request_reclaims_the_slot() {
         model,
         vocab,
         session_config(Precision::F32),
-        ServerConfig {
-            // A long max-wait parks the ask in the coalescing queue so the
-            // client is guaranteed to die before the answer exists.
-            batching: Some(BatchConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(50),
-            }),
-            ..server_config(&[("alpha", "alice")])
-        },
+        server_config(&[("alpha", "alice")]),
     )
     .expect("server spawns");
     let story = &stories[0];
@@ -299,10 +297,10 @@ fn killed_client_mid_request_reclaims_the_slot() {
             .send_ask_tokens(&story.questions[0].tokens)
             .expect("send");
         // Drop without reading the answer: the socket closes with the
-        // request still queued server-side.
+        // request in flight.
     }
 
-    // The server must flush the orphaned question, drop the unroutable
+    // The server must answer the orphaned question, drop the unroutable
     // answer, and keep serving new connections at full health.
     let (mut client, _) = NetClient::connect(server.addr(), "alpha").expect("reconnect");
     client
@@ -312,7 +310,7 @@ fn killed_client_mid_request_reclaims_the_slot() {
         Response::Answer(_) => {}
         other => panic!("expected answer, got {other:?}"),
     }
-    // Poll stats until the orphaned question has been flushed: the pool
+    // Poll stats until the orphaned question has been answered: the pool
     // must hold zero pending questions (the dead client's slot is
     // reclaimed, not leaked).
     let mut drained = false;
@@ -406,6 +404,11 @@ fn auth_is_required_and_tokens_are_checked() {
     server.shutdown();
 }
 
+/// The socket-level half of the shutdown drain: asks sent before a
+/// shutdown are all answered. An idle scheduler dispatches them before
+/// the shutdown arrives; the scheduler unit test of the same name feeds
+/// `[Ask, Ask, Shutdown]` in one drain to pin the case where they are
+/// still queued.
 #[test]
 fn shutdown_drains_queued_questions_before_acking() {
     let (model, vocab, stories) = trained_model();
@@ -414,8 +417,8 @@ fn shutdown_drains_queued_questions_before_acking() {
         vocab,
         session_config(Precision::F32),
         ServerConfig {
-            // Max-wait far beyond the test duration: only the drain can
-            // flush these questions.
+            // Max-wait far beyond the test duration: no answer below can
+            // come from the age-based flush.
             batching: Some(BatchConfig {
                 max_batch: 64,
                 max_wait: Duration::from_secs(30),
@@ -438,8 +441,8 @@ fn shutdown_drains_queued_questions_before_acking() {
         ids.push(asker.send_ask_tokens(&q.tokens).expect("send"));
     }
 
-    // Give the scheduler a beat to accept the asks into the queue, then
-    // shut down from a second connection.
+    // Give the scheduler a beat to accept the asks, then shut down from a
+    // second connection.
     std::thread::sleep(Duration::from_millis(50));
     let (mut admin, _) = NetClient::connect(server.addr(), "alpha").expect("connect admin");
     admin
@@ -447,7 +450,7 @@ fn shutdown_drains_queued_questions_before_acking() {
         .expect("timeout");
     admin.shutdown_server().expect("shutdown acked");
 
-    // Every queued ask was answered during the drain.
+    // Every accepted ask was answered.
     let mut got = 0;
     for _ in &ids {
         match asker.recv().expect("drained answer") {
@@ -457,4 +460,181 @@ fn shutdown_drains_queued_questions_before_acking() {
     }
     assert_eq!(got, ids.len(), "no accepted question goes unanswered");
     server.wait();
+}
+
+#[test]
+fn lone_ask_is_not_held_for_max_wait() {
+    let (model, vocab, stories) = trained_model();
+    let server = NetServer::spawn(
+        model,
+        vocab,
+        session_config(Precision::F32),
+        ServerConfig {
+            // Neither bound is reachable by one question in this test: only
+            // the idle flush can dispatch it.
+            batching: Some(BatchConfig {
+                max_batch: 64,
+                max_wait: Duration::from_secs(30),
+            }),
+            ..server_config(&[("alpha", "alice")])
+        },
+    )
+    .expect("server spawns");
+    let story = &stories[0];
+    let (mut client, _) = NetClient::connect(server.addr(), "alpha").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    for sentence in &story.sentences {
+        client.observe_tokens(sentence).expect("observe");
+    }
+    match client
+        .ask_tokens(&story.questions[0].tokens)
+        .expect("a lone ask is answered while the scheduler is idle")
+    {
+        Response::Answer(_) => {}
+        other => panic!("expected an answer, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn busy_tenant_cannot_starve_a_lone_ask() {
+    let (model, vocab, stories) = trained_model();
+    let max_wait = Duration::from_millis(100);
+    let server = NetServer::spawn(
+        model,
+        vocab,
+        session_config(Precision::F32),
+        ServerConfig {
+            batching: Some(BatchConfig {
+                max_batch: 4,
+                max_wait,
+            }),
+            ..server_config(&[("alpha", "alice"), ("beta", "bob")])
+        },
+    )
+    .expect("server spawns");
+    let addr = server.addr();
+    let story = stories[0].clone();
+
+    let (mut lone, _) = NetClient::connect(addr, "beta").expect("connect beta");
+    lone.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    for sentence in &story.sentences {
+        lone.observe_tokens(sentence).expect("observe");
+    }
+
+    // Tenant alpha keeps 16 asks in flight in a closed loop, so its full
+    // batches flush inline and its next asks keep the scheduler's channel
+    // busy.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (warm_tx, warm_rx) = std::sync::mpsc::channel();
+    let busy = {
+        let stop = stop.clone();
+        let story = story.clone();
+        std::thread::spawn(move || {
+            let (mut client, _) = NetClient::connect(addr, "alpha").expect("connect alpha");
+            client
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .expect("timeout");
+            for sentence in &story.sentences {
+                client.observe_tokens(sentence).expect("observe");
+            }
+            let question = &story.questions[0].tokens;
+            let mut in_flight = 0usize;
+            while in_flight < 16 {
+                client.send_ask_tokens(question).expect("send");
+                in_flight += 1;
+            }
+            let mut answered = 0usize;
+            while in_flight > 0 {
+                match client.recv().expect("busy tenant answered") {
+                    Response::Answer(_) => answered += 1,
+                    other => panic!("expected an answer, got {other:?}"),
+                }
+                in_flight -= 1;
+                if answered == 64 {
+                    let _ = warm_tx.send(());
+                }
+                if !stop.load(Ordering::Acquire) {
+                    client.send_ask_tokens(question).expect("send");
+                    in_flight += 1;
+                }
+            }
+            answered
+        })
+    };
+
+    warm_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the busy tenant is under way");
+    let t0 = Instant::now();
+    let answer = lone.ask_tokens(&story.questions[0].tokens).expect("ask");
+    let waited = t0.elapsed();
+    stop.store(true, Ordering::Release);
+    assert!(
+        matches!(answer, Response::Answer(_)),
+        "expected an answer, got {answer:?}"
+    );
+    // max_wait plus one pass, with generous slack for a loaded test host.
+    let bound = max_wait + Duration::from_secs(2);
+    assert!(
+        waited <= bound,
+        "lone ask waited {waited:?} behind a busy tenant (bound {bound:?})"
+    );
+    assert!(busy.join().expect("busy tenant") >= 64);
+    server.shutdown();
+}
+
+#[test]
+fn sequential_observe_round_trips_never_stall() {
+    // Each round trip needs two cross-thread wake-ups (net thread to
+    // scheduler, scheduler to net thread). Two connections share the one
+    // net thread, so one's wake-ups land while the thread re-arms after
+    // the other's. A lost wake-up has no poll timer to hide behind: it
+    // would surface here as a read timeout.
+    let (model, vocab, stories) = trained_model();
+    let server = NetServer::spawn(
+        model,
+        vocab,
+        session_config(Precision::F32),
+        ServerConfig {
+            net_threads: 1,
+            ..server_config(&[("alpha", "alice"), ("beta", "bob")])
+        },
+    )
+    .expect("server spawns");
+    let addr = server.addr();
+    let sentences: Vec<_> = stories.iter().flat_map(|s| s.sentences.clone()).collect();
+    let clients: Vec<_> = ["alpha", "beta"]
+        .into_iter()
+        .map(|token| {
+            let sentences = sentences.clone();
+            std::thread::spawn(move || -> Result<(), String> {
+                let (mut client, _) = NetClient::connect(addr, token).expect("connect");
+                client
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .expect("timeout");
+                for i in 0..2000 {
+                    client
+                        .observe_tokens(&sentences[i % sentences.len()])
+                        .map_err(|e| format!("{token}: observe round trip {i} stalled: {e}"))?;
+                }
+                Ok(())
+            })
+        })
+        .collect();
+    let stalls: Vec<String> = clients
+        .into_iter()
+        .filter_map(|c| c.join().expect("client thread").err())
+        .collect();
+    if !stalls.is_empty() {
+        // A net thread that lost a wake-up would also miss the shutdown
+        // wake and hang the server's drop; leak it so the test fails
+        // instead.
+        std::mem::forget(server);
+        panic!("{stalls:?}");
+    }
+    server.shutdown();
 }

@@ -85,16 +85,22 @@ impl From<ServeError> for PoolError {
 /// batched streaming pass (the cross-request GEMM fast path): a tenant's
 /// queue flushes as soon as it holds `max_batch` questions, and
 /// [`SessionPool::flush_due`] flushes queues whose oldest question has
-/// waited `max_wait`. Queue wait is charged against each question's
-/// deadline: a question that waited `w` runs under
-/// `deadline.saturating_sub(w)`, so coalescing never silently extends
-/// [`SessionConfig::deadline`].
+/// waited `max_wait`. A serving loop that batches continuously — queue
+/// whatever has arrived, then [`SessionPool::flush_oldest`] whenever
+/// nothing more is waiting, as the network scheduler does — never holds a
+/// question back for company; there `max_wait` is only a starvation bound
+/// for a partial queue while arrivals never let up.
+/// Queue wait is charged against each question's deadline: a question that
+/// waited `w` runs under `deadline.saturating_sub(w)`, so coalescing never
+/// silently extends [`SessionConfig::deadline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush a tenant's queue when it reaches this many questions.
     pub max_batch: usize,
-    /// Maximum time a queued question may wait before
-    /// [`SessionPool::flush_due`] considers its batch due.
+    /// Age at which [`SessionPool::flush_due`] considers a queued
+    /// question's batch due. Under continuous batching this is a
+    /// starvation bound, not a hold: it only matters while a busy tenant
+    /// keeps the serving loop from ever going idle.
     pub max_wait: Duration,
 }
 
@@ -559,8 +565,9 @@ impl SessionPool {
     }
 
     /// Flushes every tenant queue whose oldest question has waited at least
-    /// [`BatchConfig::max_wait`]. Call this from the serving loop's idle
-    /// path so partially filled batches still meet their latency bound.
+    /// [`BatchConfig::max_wait`]. A continuously batching loop calls this
+    /// between requests while its input never runs dry, so a partial
+    /// queue is not starved by a busy neighbour.
     ///
     /// # Errors
     ///
@@ -604,6 +611,28 @@ impl SessionPool {
         Ok(answers)
     }
 
+    /// Flushes the one tenant queue whose oldest question has waited
+    /// longest; returns its answers (none when nothing is queued). A
+    /// continuously batching loop that goes idle with several partial
+    /// queues dispatches them this way, one batch at a time, taking in new
+    /// arrivals between batches so the queues still waiting keep growing.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionPool::enqueue`]'s flush path.
+    pub fn flush_oldest(&mut self) -> Result<Vec<BatchedAnswer>, PoolError> {
+        let oldest = self
+            .queues
+            .iter()
+            .filter_map(|(t, q)| q.first().map(|r| (r.enqueued, t)))
+            .min()
+            .map(|(_, t)| t.clone());
+        match oldest {
+            Some(tenant) => self.flush_tenant_queue(&tenant),
+            None => Ok(Vec::new()),
+        }
+    }
+
     /// Questions currently waiting in coalescing queues.
     pub fn pending_questions(&self) -> usize {
         self.queues.values().map(Vec::len).sum()
@@ -611,8 +640,9 @@ impl SessionPool {
 
     /// The instant at which the oldest queued question's batch becomes due
     /// under [`BatchConfig::max_wait`], or `None` when no question is
-    /// queued. A serving loop can sleep precisely until this instant
-    /// instead of polling [`SessionPool::flush_due`] on a fixed tick.
+    /// queued. A serving loop that holds partial batches for company can
+    /// sleep precisely until this instant instead of polling
+    /// [`SessionPool::flush_due`] on a fixed tick.
     pub fn next_flush_due(&self) -> Option<Instant> {
         let max_wait = self.batching.map_or(Duration::ZERO, |b| b.max_wait);
         self.queues
@@ -994,6 +1024,42 @@ mod tests {
         let all = pool.flush_all().unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].request, 1);
+        assert_eq!(pool.stats().batches_dispatched, 2);
+    }
+
+    #[test]
+    fn flush_oldest_dispatches_one_queue_in_arrival_order() {
+        let (mut generator, pool) = pool();
+        let mut pool = pool.with_batching(BatchConfig {
+            max_batch: 100,
+            max_wait: std::time::Duration::from_secs(3600),
+        });
+        let story = generator.story(4, 2);
+        // Tenant "b" queues first: arrival order, not name order, picks
+        // the queue.
+        for t in ["b", "a"] {
+            pool.create_tenant(t).unwrap();
+            for s in &story.sentences {
+                pool.observe(t, s).unwrap();
+            }
+        }
+        pool.enqueue("b", &story.questions[0].tokens).unwrap();
+        pool.enqueue("a", &story.questions[0].tokens).unwrap();
+        pool.enqueue("b", &story.questions[1].tokens).unwrap();
+
+        let first = pool.flush_oldest().unwrap();
+        assert_eq!(
+            first
+                .iter()
+                .map(|a| (a.tenant.as_str(), a.request))
+                .collect::<Vec<_>>(),
+            vec![("b", 0), ("b", 2)]
+        );
+        assert_eq!(pool.pending_questions(), 1);
+        let second = pool.flush_oldest().unwrap();
+        assert_eq!(second.len(), 1);
+        assert_eq!((second[0].tenant.as_str(), second[0].request), ("a", 1));
+        assert!(pool.flush_oldest().unwrap().is_empty());
         assert_eq!(pool.stats().batches_dispatched, 2);
     }
 

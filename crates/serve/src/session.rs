@@ -87,7 +87,9 @@ pub struct SessionConfig {
     /// the `MNNFAST_SEGMENTS` environment variable at session creation,
     /// falling back to 1 — so a deployment can segment every
     /// default-configured session without touching code, while an explicit
-    /// value here always wins.
+    /// value here always wins. Sessions that configure [`Self::topk`] or
+    /// [`Self::workers`] are not default-configured: the variable resolves
+    /// to 1 for them.
     pub segments: usize,
     /// Numeric precision of the memory plane. [`Precision::F32`] (the
     /// default) serves from the f32 row store; [`Precision::Int8`] keeps a
@@ -382,7 +384,7 @@ impl Session {
         // MNNFAST_SEGMENTS surfaces a typed error here instead of silently
         // serving with the default.
         mnn_tensor::validate_env()?;
-        let segments = resolve_segments(config.segments)?;
+        let segments = resolve_segments(&config)?;
         let topk = resolve_topk(config.topk)?;
         let nprobe = resolve_nprobe(config.nprobe)?;
         if topk > 0 {
@@ -1536,11 +1538,26 @@ fn build_dist_plane(
 /// integer — a malformed value is a typed [`EnvVarError`], not a silent
 /// fallback (the historical behaviour, which ran deployments unsegmented
 /// when the operator fat-fingered the knob).
-fn resolve_segments(configured: usize) -> Result<usize, EnvVarError> {
-    if configured >= 1 {
-        return Ok(configured);
+fn resolve_segments(config: &SessionConfig) -> Result<usize, EnvVarError> {
+    segments_for(config, std::env::var("MNNFAST_SEGMENTS").ok().as_deref())
+}
+
+/// The pure rule behind [`resolve_segments`], given the variable's value.
+/// The environment default only segments *default-configured* sessions: a
+/// session that configures top-K attention or a worker fleet (which both
+/// partition the memory pass themselves) resolves it to 1, while an
+/// explicit `segments > 1` alongside either is kept and rejected at
+/// creation.
+fn segments_for(config: &SessionConfig, env: Option<&str>) -> Result<usize, EnvVarError> {
+    if config.segments >= 1 {
+        return Ok(config.segments);
     }
-    parse_segments(std::env::var("MNNFAST_SEGMENTS").ok().as_deref())
+    let from_env = parse_segments(env)?;
+    Ok(if config.topk > 0 || config.workers > 0 {
+        1
+    } else {
+        from_env
+    })
 }
 
 /// The pure parse behind [`resolve_segments`]: `None`/empty → 1, a positive
@@ -2243,7 +2260,64 @@ mod tests {
             assert_eq!(err.value(), bad);
         }
         // An explicit configuration short-circuits the environment.
-        assert_eq!(resolve_segments(7), Ok(7));
+        let explicit = SessionConfig {
+            segments: 7,
+            ..SessionConfig::default()
+        };
+        assert_eq!(segments_for(&explicit, Some("4")), Ok(7));
+    }
+
+    #[test]
+    fn segments_env_default_skips_sparse_and_distributed_sessions() {
+        let plain = SessionConfig::default();
+        assert_eq!(segments_for(&plain, Some("8")), Ok(8));
+        for configured in [
+            SessionConfig { topk: 8, ..plain },
+            SessionConfig {
+                workers: 2,
+                ..plain
+            },
+        ] {
+            // The environment default does not apply to a session that
+            // partitions its memory pass another way ...
+            assert_eq!(segments_for(&configured, Some("8")), Ok(1));
+            // ... but a malformed value is still a typed error.
+            assert!(segments_for(&configured, Some("banana")).is_err());
+            // An explicit segment count alongside either is kept, and
+            // creation rejects the combination.
+            let explicit = SessionConfig {
+                segments: 4,
+                ..configured
+            };
+            assert_eq!(segments_for(&explicit, Some("8")), Ok(4));
+        }
+
+        let mut generator = BabiGenerator::new(TaskKind::SingleSupportingFact, 5);
+        let _ = generator.story(2, 1);
+        let model = MemNet::new(
+            ModelConfig {
+                temporal: false,
+                ..ModelConfig::for_generator(&generator, 8, 4)
+            },
+            1,
+        );
+        let sparse = SessionConfig { topk: 8, ..plain };
+        for bad in [
+            SessionConfig {
+                segments: 4,
+                ..sparse
+            },
+            SessionConfig {
+                segments: 4,
+                workers: 2,
+                ..plain
+            },
+        ] {
+            assert!(
+                Session::new(model.clone(), bad).is_err(),
+                "explicit segments accepted beside another partitioning: {bad:?}"
+            );
+        }
     }
 
     #[test]
