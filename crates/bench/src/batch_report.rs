@@ -13,6 +13,11 @@
 //! also records the bytes and FLOPs per question and the best batched
 //! pass's achieved GB/s and GFLOP/s, so the curve's distance from the
 //! memory roofline is a number.
+//!
+//! A second dimension splits the batched pass across every core the host
+//! offers (a pinned [`EngineKind::Parallel`] plan) and times it in the
+//! same repetition as the one-thread batched pass; its speedup is the
+//! median of those paired ratios.
 
 use crate::table::{f, ExperimentTable};
 use crate::Scale;
@@ -44,6 +49,13 @@ pub struct BatchEntry {
     pub batched_qps: f64,
     /// Median of the per-repetition sequential/batched time ratios.
     pub speedup: f64,
+    /// Best observed seconds for the batched pass split across
+    /// [`BatchReport::threads`] threads.
+    pub threaded_seconds: f64,
+    /// Questions per second of the split batched pass (from the best rep).
+    pub threaded_qps: f64,
+    /// Median of the per-repetition one-thread/split batched time ratios.
+    pub threaded_speedup: f64,
     /// Memory bytes the batched pass streams per question: both planes
     /// once per batch, shared by its `nq` questions.
     pub bytes_per_q: f64,
@@ -64,6 +76,9 @@ pub struct BatchReport {
     pub ed: usize,
     /// Rows per chunk.
     pub chunk: usize,
+    /// Threads the split batched pass runs on (the host's available
+    /// parallelism).
+    pub threads: usize,
     /// Acceptance target for entries with `nq >= 8`.
     pub target_speedup: f64,
     /// One entry per batch size, in [`BATCH_SIZES`] order.
@@ -81,8 +96,12 @@ pub fn run(scale: Scale) -> BatchReport {
     let m_in = Matrix::from_fn(ns, ed, |r, c| ((r * 31 + c * 7) as f32 * 0.001).sin() * 0.3);
     let m_out = Matrix::from_fn(ns, ed, |r, c| ((r * 13 + c * 5) as f32 * 0.002).cos() * 0.3);
 
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let exec = ExecPlan::new(MnnFastConfig::new(chunk))
         .with_kind(EngineKind::Column)
+        .executor();
+    let split = ExecPlan::new(MnnFastConfig::new(chunk).with_threads(threads))
+        .with_kind(EngineKind::Parallel)
         .executor();
     let mut scratch = Scratch::new();
     let mut trace = Trace::disabled();
@@ -117,7 +136,7 @@ pub fn run(scale: Scale) -> BatchReport {
             t0.elapsed().as_secs_f64()
         };
         // Returns the pass time and question 0's flop count.
-        let batched_pass = |scratch: &mut Scratch, trace: &mut Trace| {
+        let batched_pass = |exec: &dyn Executor, scratch: &mut Scratch, trace: &mut Trace| {
             let t0 = Instant::now();
             let results = exec
                 .forward_batch_budgeted(
@@ -145,16 +164,22 @@ pub fn run(scale: Scale) -> BatchReport {
         // Warm both flavors: grows the scratch arena (including the batch
         // tile) so timed passes are allocation-free.
         sequential_pass(&mut scratch, &mut trace);
-        let (_, flops_per_q) = batched_pass(&mut scratch, &mut trace);
+        let (_, flops_per_q) = batched_pass(&exec, &mut scratch, &mut trace);
+        batched_pass(&split, &mut scratch, &mut trace);
 
-        let (mut best_seq, mut best_batch) = (f64::INFINITY, f64::INFINITY);
+        let (mut best_seq, mut best_batch, mut best_split) =
+            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut ratios = Vec::with_capacity(reps);
+        let mut split_ratios = Vec::with_capacity(reps);
         for _ in 0..reps {
             let s = sequential_pass(&mut scratch, &mut trace);
-            let (b, _) = batched_pass(&mut scratch, &mut trace);
+            let (b, _) = batched_pass(&exec, &mut scratch, &mut trace);
+            let (t, _) = batched_pass(&split, &mut scratch, &mut trace);
             best_seq = best_seq.min(s);
             best_batch = best_batch.min(b);
+            best_split = best_split.min(t);
             ratios.push(s / b);
+            split_ratios.push(b / t);
         }
 
         let bytes_per_q = (2 * ns * ed * 4) as f64 / nq as f64;
@@ -166,6 +191,9 @@ pub fn run(scale: Scale) -> BatchReport {
             sequential_qps: nq as f64 / best_seq,
             batched_qps,
             speedup: median(&mut ratios),
+            threaded_seconds: best_split,
+            threaded_qps: nq as f64 / best_split,
+            threaded_speedup: median(&mut split_ratios),
             bytes_per_q,
             flops_per_q,
             batched_gbps: bytes_per_q * batched_qps / 1e9,
@@ -177,6 +205,7 @@ pub fn run(scale: Scale) -> BatchReport {
         ns,
         ed,
         chunk,
+        threads,
         target_speedup: SPEEDUP_TARGET_AT_8,
         entries,
     }
@@ -212,8 +241,11 @@ impl BatchReport {
         let all_finite = self.entries.iter().all(|e| {
             e.sequential_seconds > 0.0
                 && e.batched_seconds > 0.0
+                && e.threaded_seconds > 0.0
                 && e.speedup.is_finite()
                 && e.speedup > 0.0
+                && e.threaded_speedup.is_finite()
+                && e.threaded_speedup > 0.0
         });
         let last_not_slower = self.entries.last().is_some_and(|e| e.speedup >= 1.0);
         all_finite && last_not_slower
@@ -228,6 +260,8 @@ impl BatchReport {
                 "seq q/s",
                 "batched q/s",
                 "speedup",
+                "split q/s",
+                "split speedup",
                 "MB/q",
                 "GB/s",
                 "GFLOP/s",
@@ -239,6 +273,8 @@ impl BatchReport {
                 f(e.sequential_qps),
                 f(e.batched_qps),
                 format!("{:.2}x", e.speedup),
+                f(e.threaded_qps),
+                format!("{:.2}x", e.threaded_speedup),
                 format!("{:.2}", e.bytes_per_q / 1e6),
                 format!("{:.2}", e.batched_gbps),
                 format!("{:.2}", e.batched_gflops),
@@ -247,6 +283,10 @@ impl BatchReport {
         t.note(format!(
             "ns={}, ed={}, chunk={}: each batched pass streams the memories once for all nq questions",
             self.ns, self.ed, self.chunk
+        ));
+        t.note(format!(
+            "split: the batched pass on {} threads; speedup is the paired ratio to the one-thread batched pass",
+            self.threads
         ));
         t.note(format!(
             "target at nq>=8: {:.1}x — {}",
@@ -265,8 +305,8 @@ impl BatchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"ns\": {}, \"ed\": {}, \"chunk\": {},\n",
-            self.ns, self.ed, self.chunk
+            "  \"ns\": {}, \"ed\": {}, \"chunk\": {}, \"threads\": {},\n",
+            self.ns, self.ed, self.chunk, self.threads
         ));
         out.push_str(&format!(
             "  \"target_speedup\": {:.1}, \"meets_target\": {},\n",
@@ -291,6 +331,15 @@ impl BatchReport {
             ));
             out.push_str(&format!("      \"batched_qps\": {:.3},\n", e.batched_qps));
             out.push_str(&format!("      \"speedup\": {:.4},\n", e.speedup));
+            out.push_str(&format!(
+                "      \"threaded_seconds\": {:.12},\n",
+                e.threaded_seconds
+            ));
+            out.push_str(&format!("      \"threaded_qps\": {:.3},\n", e.threaded_qps));
+            out.push_str(&format!(
+                "      \"threaded_speedup\": {:.4},\n",
+                e.threaded_speedup
+            ));
             out.push_str(&format!("      \"bytes_per_q\": {:.1},\n", e.bytes_per_q));
             out.push_str(&format!("      \"flops_per_q\": {},\n", e.flops_per_q));
             out.push_str(&format!("      \"batched_gbps\": {:.3},\n", e.batched_gbps));
@@ -330,6 +379,8 @@ mod tests {
             assert!(e.sequential_qps > 0.0, "nq={}", e.nq);
             assert!(e.batched_qps > 0.0, "nq={}", e.nq);
             assert!(e.speedup.is_finite() && e.speedup > 0.0, "nq={}", e.nq);
+            assert!(e.threaded_qps > 0.0, "nq={}", e.nq);
+            assert!(e.threaded_speedup.is_finite() && e.threaded_speedup > 0.0);
             // Traffic per question falls as 1/nq; work per question does not.
             let first = &report.entries[0];
             assert_eq!(e.bytes_per_q * e.nq as f64, first.bytes_per_q);
@@ -349,6 +400,8 @@ mod tests {
             "\"target_speedup\"",
             "\"meets_target\"",
             "\"speedup\"",
+            "\"threads\"",
+            "\"threaded_speedup\"",
             "\"bytes_per_q\"",
             "\"flops_per_q\"",
             "\"batched_gbps\"",

@@ -1,7 +1,8 @@
-//! Cross-request batched throughput on the tiled GEMM fast path. Emits
-//! the machine-readable `BENCH_batch.json`; with `--check` the process
-//! exits nonzero when the run fails the conservative sanity gate (finite
-//! measurements, batched not slower than sequential at the largest batch).
+//! Cross-request batched throughput on the tiled GEMM fast path, on one
+//! thread and split across every core. Emits the machine-readable
+//! `BENCH_batch.json`; with `--check` the process exits nonzero when the
+//! run fails the conservative sanity gate (finite measurements, batched
+//! not slower than sequential at the largest batch).
 use mnn_bench::Scale;
 
 fn main() {

@@ -11,19 +11,30 @@
 //! and the weighted accumulate run in the same pass over the resident tile
 //! (`accumulate_chunk_batch` in `mnn_tensor::softmax`).
 //!
+//! Scale-out follows Section 3.1: chunks are independent and only the
+//! `O(ed)` merge is shared. With [`MnnFastConfig::threads`] above one, each
+//! visited segment's chunks are split into contiguous, chunk-aligned
+//! ranges. The calling thread runs the first range and folds it straight
+//! into the running accumulators; scoped helper threads fill one chunk
+//! partial per (chunk, live question) into staging slots the [`Scratch`]
+//! reuses; after the join the caller folds the staged partials in global
+//! chunk order. That is the fold the sequential pass performs, so answers
+//! are bitwise identical at any thread count.
+//!
 //! Instrumentation counts the shared work once: the chunk GEMM is charged to
 //! the batch as one [`mnn_tensor::kernels::gemm_flops`] count (not `nq`
 //! separate GEMV estimates) and each memory chunk's `memory_bytes` once per
 //! batch, while per-question outputs carry their own share.
 //!
 //! Two entry points:
-//! * [`BatchEngine::forward`] — one-shot convenience over the whole store,
-//!   optionally splitting chunk ranges across threads.
+//! * [`BatchEngine::forward`] — one-shot convenience over the whole store
+//!   (the serving path with unlimited budgets and a fresh arena).
 //! * [`BatchEngine::forward_budgeted`] — the serving path: reuses a
-//!   [`Scratch`] arena (the warm path performs no per-chunk or per-question
-//!   buffer allocations), records the [`Phase::BatchGemm`] trace phase, and
-//!   gives every question its own [`Budget`] so one expired deadline or
-//!   cancelled request fails *that* slot while its batchmates finish.
+//!   [`Scratch`] arena (the warm sequential path performs no per-chunk or
+//!   per-question buffer allocations), records the [`Phase::BatchGemm`]
+//!   trace phase, and gives every question its own [`Budget`] so one
+//!   expired deadline or cancelled request fails *that* slot while its
+//!   batchmates finish.
 
 use crate::budget::Budget;
 use crate::config::{MnnFastConfig, SkipPolicy, SoftmaxMode};
@@ -36,6 +47,8 @@ use crate::segment::{self, SegmentPlan};
 use crate::stats::InferenceStats;
 use mnn_tensor::softmax::{LazyAccumulator, OnlineSoftmax};
 use mnn_tensor::{kernels, Matrix, QuantMatrix};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Batched column-based engine.
 ///
@@ -72,11 +85,445 @@ pub struct BatchOutput {
     pub stats: InferenceStats,
 }
 
-/// Per-question softmax accumulator.
-#[derive(Debug, Clone)]
-enum BatchAccum {
-    Lazy(Vec<LazyAccumulator>),
-    Online(Vec<OnlineSoftmax>),
+/// One helper thread's reusable arena for a split batched pass: its live
+/// mask, logits tile, skip counters, per-question stats and trace, plus
+/// the staged chunk partials (`nq` per chunk, chunk-major).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BatchLane {
+    live: Vec<bool>,
+    logits: Vec<f32>,
+    skipped: Vec<u64>,
+    stats: Vec<InferenceStats>,
+    trace: Trace,
+    lazy: Vec<LazyAccumulator>,
+    online: Vec<OnlineSoftmax>,
+    /// Chunks the last pass staged.
+    used: usize,
+}
+
+/// Per-question budget-failure marks that every thread of one batched
+/// pass reads and sets: a question that fails its budget on one thread is
+/// dropped by its peers at their next chunk. The marks (like the pass's
+/// abort flag) publish no other data, so `Relaxed` suffices; the caller
+/// reads them after the scope's join, which orders every thread's stores.
+#[derive(Debug, Default)]
+pub(crate) struct DeadMarks(Vec<AtomicBool>);
+
+impl Clone for DeadMarks {
+    fn clone(&self) -> Self {
+        DeadMarks(
+            self.0
+                .iter()
+                .map(|d| AtomicBool::new(d.load(Ordering::Relaxed)))
+                .collect(),
+        )
+    }
+}
+
+impl DeadMarks {
+    /// One mark per question, set where `live` is not.
+    fn reset(&mut self, live: &[bool]) {
+        self.0.clear();
+        self.0.extend(live.iter().map(|&l| AtomicBool::new(!l)));
+    }
+
+    fn is_dead(&self, q: usize) -> bool {
+        self.0[q].load(Ordering::Relaxed)
+    }
+
+    fn kill(&self, q: usize) {
+        self.0[q].store(true, Ordering::Relaxed);
+    }
+}
+
+/// The two softmax accumulators behind the one batched chunk loop.
+trait BatchSoftmax: Default + Send {
+    /// This mode's slots out of a (lazy, online) pair of arenas.
+    fn slots<'s>(
+        lazy: &'s mut Vec<LazyAccumulator>,
+        online: &'s mut Vec<OnlineSoftmax>,
+    ) -> &'s mut Vec<Self>;
+    fn reset_to(&mut self, ed: usize);
+    /// One tiled accumulate of a resident chunk into every live question's
+    /// partial (`fused` selects the lazy fast-exp arithmetic; online
+    /// ignores it).
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_tile(
+        partials: &mut [Self],
+        in_flat: &[f32],
+        out_flat: &[f32],
+        n: usize,
+        us: &[f32],
+        thresholds: &[Option<f32>],
+        live: &[bool],
+        fused: bool,
+        logits: &mut [f32],
+        skipped: &mut [u64],
+    );
+    /// Folds a chunk partial into a running accumulator (the merge plane).
+    fn fold(&mut self, partial: &Self);
+    /// The running max zone-map pruning tests against; `None` in lazy
+    /// mode, which has none until the division and so never prunes.
+    fn running_max(&self) -> Option<f32>;
+    fn wire_roundtrip(&self) -> Self;
+    fn denominator(&self) -> f32;
+    fn finish(&self, out: &mut Vec<f32>);
+}
+
+impl BatchSoftmax for LazyAccumulator {
+    fn slots<'s>(
+        lazy: &'s mut Vec<LazyAccumulator>,
+        _: &'s mut Vec<OnlineSoftmax>,
+    ) -> &'s mut Vec<Self> {
+        lazy
+    }
+    fn reset_to(&mut self, ed: usize) {
+        self.reset(ed);
+    }
+    fn accumulate_tile(
+        partials: &mut [Self],
+        in_flat: &[f32],
+        out_flat: &[f32],
+        n: usize,
+        us: &[f32],
+        thresholds: &[Option<f32>],
+        live: &[bool],
+        fused: bool,
+        logits: &mut [f32],
+        skipped: &mut [u64],
+    ) {
+        LazyAccumulator::accumulate_chunk_batch(
+            partials, in_flat, out_flat, n, us, thresholds, live, fused, logits, skipped,
+        );
+    }
+    fn fold(&mut self, partial: &Self) {
+        mnn_tensor::partial::merge_lazy_into(self, partial);
+    }
+    fn running_max(&self) -> Option<f32> {
+        None
+    }
+    fn wire_roundtrip(&self) -> Self {
+        mnn_tensor::partial::roundtrip_lazy(self)
+    }
+    fn denominator(&self) -> f32 {
+        self.denom()
+    }
+    fn finish(&self, out: &mut Vec<f32>) {
+        self.finish_into(out);
+    }
+}
+
+impl BatchSoftmax for OnlineSoftmax {
+    fn slots<'s>(
+        _: &'s mut Vec<LazyAccumulator>,
+        online: &'s mut Vec<OnlineSoftmax>,
+    ) -> &'s mut Vec<Self> {
+        online
+    }
+    fn reset_to(&mut self, ed: usize) {
+        self.reset(ed);
+    }
+    fn accumulate_tile(
+        partials: &mut [Self],
+        in_flat: &[f32],
+        out_flat: &[f32],
+        n: usize,
+        us: &[f32],
+        thresholds: &[Option<f32>],
+        live: &[bool],
+        _fused: bool,
+        logits: &mut [f32],
+        skipped: &mut [u64],
+    ) {
+        OnlineSoftmax::accumulate_chunk_batch(
+            partials, in_flat, out_flat, n, us, thresholds, live, logits, skipped,
+        );
+    }
+    fn fold(&mut self, partial: &Self) {
+        mnn_tensor::partial::merge_online_into(self, partial);
+    }
+    fn running_max(&self) -> Option<f32> {
+        Some(self.max_logit())
+    }
+    fn wire_roundtrip(&self) -> Self {
+        mnn_tensor::partial::roundtrip_online(self)
+    }
+    fn denominator(&self) -> f32 {
+        self.denom()
+    }
+    fn finish(&self, out: &mut Vec<f32>) {
+        self.finish_into(out);
+    }
+}
+
+/// What every thread of one batched pass reads.
+struct ChunkInputs<'a> {
+    m_in: &'a Matrix,
+    m_out: &'a Matrix,
+    us: &'a [f32],
+    thresholds: &'a [Option<f32>],
+    budgets: &'a [Budget],
+    dead: &'a DeadMarks,
+    /// Set when a thread panicked: its peers stop at their next chunk.
+    abort: &'a AtomicBool,
+    chunk: usize,
+    ed: usize,
+    fused: bool,
+}
+
+/// One thread's working set: the questions it still serves in this
+/// segment, its logits tile and skip counters, and where its per-question
+/// stats and phase times go.
+struct Lane<'a> {
+    live: &'a mut [bool],
+    logits: &'a mut [f32],
+    skipped: &'a mut [u64],
+    stats: &'a mut [InferenceStats],
+    trace: &'a mut Trace,
+}
+
+/// Where a thread puts each chunk's partials.
+enum Sink<'a, A> {
+    /// Fold them into the running accumulators at once (the sequential
+    /// pass, and the caller's range of a split one).
+    Fold {
+        partials: &'a mut [A],
+        running: &'a mut [A],
+    },
+    /// Keep them, `nq` per chunk, for the caller's in-order fold.
+    Stage(&'a mut Vec<A>),
+}
+
+/// Runs the chunks of rows `[start, end)` for the lane's live questions
+/// and returns how many it ran. Each live question's budget is checked
+/// once per chunk; a failure marks it dead for every thread. Each chunk
+/// is streamed once and applied to every live question while resident:
+/// one tiled accumulate fills a fresh partial per question, which `sink`
+/// folds or stages — the single-question engine's discipline, so the
+/// tiles give each question the bits its lone pass would compute (see
+/// `mnn_tensor::simd`).
+fn run_chunks<A: BatchSoftmax>(
+    inp: &ChunkInputs<'_>,
+    lane: &mut Lane<'_>,
+    mut sink: Sink<'_, A>,
+    start: usize,
+    end: usize,
+) -> usize {
+    let nq = lane.live.len();
+    let ed = inp.ed;
+    let mut row = start;
+    let mut idx = 0;
+    while row < end && !inp.abort.load(Ordering::Relaxed) {
+        let mut n_live = 0u64;
+        for (q, live) in lane.live.iter_mut().enumerate() {
+            if !*live {
+                continue;
+            }
+            if inp.dead.is_dead(q) || inp.budgets[q].check().is_err() {
+                inp.dead.kill(q);
+                *live = false;
+            } else {
+                n_live += 1;
+            }
+        }
+        if n_live == 0 {
+            break;
+        }
+        let n = inp.chunk.min(end - row);
+        let partials: &mut [A] = match &mut sink {
+            Sink::Fold { partials, .. } => partials,
+            Sink::Stage(slots) => {
+                if slots.len() < (idx + 1) * nq {
+                    slots.resize_with((idx + 1) * nq, A::default);
+                }
+                &mut slots[idx * nq..(idx + 1) * nq]
+            }
+        };
+        for (p, _) in partials
+            .iter_mut()
+            .zip(lane.live.iter())
+            .filter(|(_, l)| **l)
+        {
+            p.reset_to(ed);
+        }
+        lane.skipped.fill(0);
+        let t0 = lane.trace.begin();
+        A::accumulate_tile(
+            partials,
+            inp.m_in.rows_slice(row, n),
+            inp.m_out.rows_slice(row, n),
+            n,
+            inp.us,
+            inp.thresholds,
+            lane.live,
+            inp.fused,
+            lane.logits,
+            lane.skipped,
+        );
+        if let Sink::Fold { partials, running } = &mut sink {
+            for ((run, p), _) in running
+                .iter_mut()
+                .zip(partials.iter())
+                .zip(lane.live.iter())
+                .filter(|(_, l)| **l)
+            {
+                run.fold(p);
+            }
+        }
+        lane.trace.record(Phase::BatchGemm, t0, n as u64 * n_live);
+        let mut chunk_skipped = 0u64;
+        for q in (0..nq).filter(|&q| lane.live[q]) {
+            let d = lane.skipped[q];
+            chunk_skipped += d;
+            let kept = n as u64 - d;
+            let s = &mut lane.stats[q];
+            s.chunks += 1;
+            s.rows_total += n as u64;
+            s.rows_skipped += d;
+            s.flops += n as u64 + kept * 2 * ed as u64;
+            s.ws_flops += kept * 2 * ed as u64;
+            s.flops_skipped += d * 2 * ed as u64;
+        }
+        lane.trace.bump(Phase::Skip, chunk_skipped);
+        row += n;
+        idx += 1;
+    }
+    idx
+}
+
+/// Runs `f`, turning a panic into `false` and telling the peers to stop.
+fn contain(abort: &AtomicBool, f: impl FnOnce()) -> bool {
+    let ok = std::panic::catch_unwind(AssertUnwindSafe(f)).is_ok();
+    if !ok {
+        abort.store(true, Ordering::Relaxed);
+    }
+    ok
+}
+
+/// Runs the segment `[start, end)` split into `threads` contiguous,
+/// chunk-aligned ranges. The caller (`main`) runs the first range and
+/// folds it straight into `running`; scoped helpers stage theirs in
+/// `lanes`; after the join the caller folds the staged partials in
+/// global chunk order and absorbs the helpers' stats and phase times.
+///
+/// # Errors
+///
+/// [`EngineError::WorkerPanicked`] when any thread panicked (its peers
+/// stop at their next chunk; the next pass resets the arena).
+#[allow(clippy::too_many_arguments)]
+fn split_segment<A: BatchSoftmax>(
+    inp: &ChunkInputs<'_>,
+    main: &mut Lane<'_>,
+    partials: &mut [A],
+    running: &mut [A],
+    lanes: &mut Vec<BatchLane>,
+    start: usize,
+    end: usize,
+    threads: usize,
+) -> Result<(), EngineError> {
+    let nq = main.live.len();
+    let per = (end - start).div_ceil(inp.chunk).div_ceil(threads) * inp.chunk;
+    let helpers = (end - start).div_ceil(per) - 1;
+    if lanes.len() < helpers {
+        lanes.resize_with(helpers, BatchLane::default);
+    }
+    let lanes = &mut lanes[..helpers];
+    for lane in lanes.iter_mut() {
+        lane.live.clear();
+        lane.live.extend_from_slice(main.live);
+        if lane.logits.len() < main.logits.len() {
+            lane.logits.resize(main.logits.len(), 0.0);
+        }
+        lane.skipped.resize(nq, 0);
+        lane.stats.clear();
+        lane.stats.resize(nq, InferenceStats::default());
+        lane.trace = if main.trace.is_enabled() {
+            Trace::enabled()
+        } else {
+            Trace::disabled()
+        };
+        lane.used = 0;
+    }
+
+    let ok = std::thread::scope(|s| {
+        let handles: Vec<_> = lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(i, lane)| {
+                let from = start + (i + 1) * per;
+                let to = (from + per).min(end);
+                s.spawn(move || {
+                    contain(inp.abort, || {
+                        let BatchLane {
+                            live,
+                            logits,
+                            skipped,
+                            stats,
+                            trace,
+                            lazy,
+                            online,
+                            used,
+                        } = lane;
+                        let mut lane = Lane {
+                            live,
+                            logits,
+                            skipped,
+                            stats,
+                            trace,
+                        };
+                        *used = run_chunks(
+                            inp,
+                            &mut lane,
+                            Sink::Stage(A::slots(lazy, online)),
+                            from,
+                            to,
+                        );
+                    })
+                })
+            })
+            .collect();
+        let caller = contain(inp.abort, || {
+            run_chunks(
+                inp,
+                &mut *main,
+                Sink::Fold {
+                    partials: &mut *partials,
+                    running: &mut *running,
+                },
+                start,
+                start + per,
+            );
+        });
+        handles
+            .into_iter()
+            .fold(caller, |ok, h| h.join().unwrap_or(false) && ok)
+    });
+    if !ok {
+        return Err(EngineError::WorkerPanicked);
+    }
+
+    // The caller's range is already folded; every later chunk follows in
+    // global order. A question still live here ran in every chunk of the
+    // segment, so each of its staged slots is filled.
+    let t0 = main.trace.begin();
+    let mut merged = 0u64;
+    for lane in lanes.iter_mut() {
+        let staged = A::slots(&mut lane.lazy, &mut lane.online);
+        for c in 0..lane.used {
+            for q in (0..nq).filter(|&q| main.live[q] && !inp.dead.is_dead(q)) {
+                running[q].fold(&staged[c * nq + q]);
+                merged += 1;
+            }
+        }
+    }
+    main.trace.record(Phase::Merge, t0, merged);
+    for lane in lanes.iter() {
+        main.trace.absorb(&lane.trace);
+        for (dst, src) in main.stats.iter_mut().zip(&lane.stats) {
+            dst.merge(src);
+        }
+    }
+    Ok(())
 }
 
 impl BatchEngine {
@@ -90,140 +537,67 @@ impl BatchEngine {
         self.config
     }
 
-    /// Answers all `questions` with one streaming pass over the memories.
+    /// Answers all `questions` with one streaming pass over the memories:
+    /// [`BatchEngine::forward_budgeted`] over every row with unlimited
+    /// budgets and a fresh arena, plus batch-level counters.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] on invalid configuration or mismatched
-    /// shapes, and [`EngineError::WorkerPanicked`] when a scale-out worker
-    /// thread panics. [`SkipPolicy::Probability`] is resolved per question
-    /// with the same two-pass semantics as the single-question engine.
+    /// shapes, [`EngineError::WorkerPanicked`] when a scale-out thread
+    /// panics, and the first question's [`EngineError::NumericFault`] when
+    /// any answer is non-finite. [`SkipPolicy::Probability`] is resolved
+    /// per question with the same two-pass semantics as the
+    /// single-question engine.
     pub fn forward(
         &self,
         m_in: &Matrix,
         m_out: &Matrix,
         questions: &[Vec<f32>],
     ) -> Result<BatchOutput, EngineError> {
-        let probe = ColumnEngine::new(self.config);
-        let Some(first) = questions.first() else {
-            return Ok(BatchOutput {
-                outputs: Vec::new(),
-                stats: InferenceStats::default(),
-            });
-        };
-        probe.check(m_in, m_out, first)?;
-        check_ragged(questions, first.len())?;
-
-        let ed = first.len();
         let nq = questions.len();
+        let budgets = vec![Budget::unlimited(); nq];
+        let outputs = self
+            .forward_budgeted(
+                m_in,
+                m_out,
+                m_in.rows(),
+                questions,
+                &mut Scratch::new(),
+                &mut Trace::disabled(),
+                &budgets,
+            )?
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // Batch-level counters: every chunk of both planes is streamed once
+        // for the whole batch (the Probability pre-pass streams `M_IN` once
+        // more), and each chunk GEMM counts once, not as `nq` GEMVs.
         let ns = m_in.rows();
-        let chunk = self.config.chunk_size;
-        let us_flat: Vec<f32> = questions.iter().flatten().copied().collect();
-
-        // Per-question raw thresholds (the Probability pre-pass itself runs
-        // on the batched GEMM and charges its traffic/flops once per batch).
-        let mut batch_stats = InferenceStats::default();
-        let thresholds = self.resolve_thresholds(m_in, &us_flat, nq, &mut batch_stats)?;
-
-        let threads = self.config.threads.min(ns.max(1));
-        let (acc, per_q, range_mem, gemm_flops) = if threads <= 1 {
-            self.process_rows(m_in, m_out, &us_flat, nq, &thresholds, 0, ns)
-        } else {
-            // Scale-out: contiguous chunk-aligned row ranges per worker,
-            // per-question partials merged in worker order (deterministic).
-            let chunks_total = ns.div_ceil(chunk);
-            let chunks_per_thread = chunks_total.div_ceil(threads);
-            let rows_per_thread = chunks_per_thread * chunk;
-            let partials = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let start = (t * rows_per_thread).min(ns);
-                    let end = ((t + 1) * rows_per_thread).min(ns);
-                    let thresholds = &thresholds;
-                    let us_flat = &us_flat;
-                    handles.push(scope.spawn(move || {
-                        self.process_rows(m_in, m_out, us_flat, nq, thresholds, start, end)
-                    }));
-                }
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            // A worker that panicked (a poisoned chunk kernel, a violated
-            // slice invariant) fails the pass with a typed error, as in
-            // `ParallelEngine`, instead of unwinding through the caller.
-            let partials = partials
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|_| EngineError::WorkerPanicked)?;
-
-            let mut merged: Option<BatchAccum> = None;
-            let mut stats_acc = vec![InferenceStats::default(); nq];
-            let mut mem = 0u64;
-            let mut gflops = 0u64;
-            for (acc, per_q, m, g) in partials {
-                mem += m;
-                gflops += g;
-                for (dst, src) in stats_acc.iter_mut().zip(per_q.iter()) {
-                    dst.merge(src);
-                }
-                match &mut merged {
-                    None => merged = Some(acc),
-                    Some(BatchAccum::Lazy(dst)) => {
-                        let BatchAccum::Lazy(src) = acc else {
-                            unreachable!("softmax mode is fixed per engine")
-                        };
-                        for (d, s) in dst.iter_mut().zip(&src) {
-                            mnn_tensor::partial::merge_lazy_into(d, s);
-                        }
-                    }
-                    Some(BatchAccum::Online(dst)) => {
-                        let BatchAccum::Online(src) = acc else {
-                            unreachable!("softmax mode is fixed per engine")
-                        };
-                        for (d, s) in dst.iter_mut().zip(&src) {
-                            mnn_tensor::partial::merge_online_into(d, s);
-                        }
-                    }
-                }
-            }
-            (
-                merged.unwrap_or_else(|| match self.config.softmax {
-                    SoftmaxMode::Lazy => BatchAccum::Lazy(vec![LazyAccumulator::new(ed); nq]),
-                    SoftmaxMode::Online => BatchAccum::Online(vec![OnlineSoftmax::new(ed); nq]),
-                }),
-                stats_acc,
-                mem,
-                gflops,
-            )
-        };
-        batch_stats.memory_bytes += range_mem;
-        // The chunk GEMM is shared work: charged once at batch level.
-        batch_stats.flops += gemm_flops;
-        batch_stats.intermediate_bytes = (nq * chunk.min(ns.max(1)) * 4 + nq * ed * 4) as u64;
-
-        for s in &per_q {
-            batch_stats.rows_total += s.rows_total;
-            batch_stats.rows_skipped += s.rows_skipped;
-            batch_stats.flops += s.flops;
-            batch_stats.ws_flops += s.ws_flops;
-            batch_stats.flops_skipped += s.flops_skipped;
-            batch_stats.divisions += ed as u64;
+        let ed = questions.first().map_or(0, Vec::len);
+        let mut stats = InferenceStats::default();
+        let plane_bytes = (ns * ed * 4) as u64;
+        let gemm = kernels::gemm_flops(ns, ed, nq);
+        stats.memory_bytes = 2 * plane_bytes;
+        stats.flops = gemm;
+        if matches!(self.config.skip, SkipPolicy::Probability(_)) {
+            stats.memory_bytes += plane_bytes;
+            stats.flops += gemm + (nq * ns) as u64;
         }
-        let outputs: Vec<ColumnOutput> = match acc {
-            BatchAccum::Lazy(accs) => accs
-                .into_iter()
-                .zip(per_q.iter())
-                .map(|(a, s)| finish_output(a.denom(), a.finish(), *s, ed))
-                .collect(),
-            BatchAccum::Online(accs) => accs
-                .into_iter()
-                .zip(per_q.iter())
-                .map(|(a, s)| finish_output(a.denom(), a.finish(), *s, ed))
-                .collect(),
-        };
-        Ok(BatchOutput {
-            outputs,
-            stats: batch_stats,
-        })
+        stats.intermediate_bytes =
+            (nq * self.config.chunk_size.min(ns.max(1)) * 4 + nq * ed * 4) as u64;
+        for out in &outputs {
+            let s = &out.stats;
+            stats.rows_total += s.rows_total;
+            stats.rows_skipped += s.rows_skipped;
+            // Row exps plus kept weighted sums; the GEMV share and the
+            // division are the per-question view of work counted above.
+            stats.flops += s.rows_total + s.ws_flops;
+            stats.ws_flops += s.ws_flops;
+            stats.flops_skipped += s.flops_skipped;
+            stats.divisions += ed as u64;
+        }
+        Ok(BatchOutput { outputs, stats })
     }
 
     /// Answers a batch of questions over the first `rows` memory entries,
@@ -231,13 +605,13 @@ impl BatchEngine {
     /// `questions[q]`).
     ///
     /// This is the serving fast path: it reuses the `scratch` arena (the
-    /// warm path performs no per-chunk or per-question buffer allocations),
-    /// records the chunk work under [`Phase::BatchGemm`], and checks every
-    /// live question's budget once per chunk. A question whose budget fails
-    /// mid-pass goes *dead* — it stops accumulating and its slot carries the
-    /// typed budget error — while the remaining questions complete the pass
-    /// unaffected. Numeric faults are likewise isolated per question by the
-    /// usual denominator/output guards.
+    /// warm sequential path performs no per-chunk or per-question buffer
+    /// allocations), records the chunk work under [`Phase::BatchGemm`], and
+    /// checks every live question's budget once per chunk. A question whose
+    /// budget fails mid-pass goes *dead* — it stops accumulating and its
+    /// slot carries the typed budget error — while the remaining questions
+    /// complete the pass unaffected. Numeric faults are likewise isolated
+    /// per question by the usual denominator/output guards.
     ///
     /// Per-question [`InferenceStats`] carry the question's compute share
     /// (its slice of the chunk GEMM as a GEMV count, exp, weighted-sum and
@@ -249,7 +623,8 @@ impl BatchEngine {
     /// Batch-level: [`EngineError::Config`] on invalid configuration, a
     /// ragged question batch, or `budgets.len() != questions.len()`;
     /// [`EngineError::Shape`] / [`EngineError::MemoryMismatch`] on bad
-    /// operands. Per-question deadline/cancellation/numeric errors are
+    /// operands; [`EngineError::WorkerPanicked`] when a scale-out thread
+    /// panics. Per-question deadline/cancellation/numeric errors are
     /// carried in the inner `Result` slots.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_budgeted(
@@ -274,12 +649,12 @@ impl BatchEngine {
     }
 
     /// Segmented batched serving path: like [`BatchEngine::forward_budgeted`]
-    /// but driven by a [`SegmentPlan`]. Pruning is decided *per question*:
-    /// a question in Online mode whose running max provably dominates a
-    /// segment's zone-map logit upper bound skips that segment (its rows
-    /// contribute exactly-zero terms, so the answer is bitwise unchanged),
-    /// while its batchmates still process it. Lazy-mode questions never
-    /// prune (no running max exists until the division).
+    /// but driven by a [`SegmentPlan`]. Pruning is decided *per question*
+    /// at segment boundaries: a question in Online mode whose running max
+    /// provably dominates a segment's zone-map logit upper bound skips that
+    /// segment (its rows contribute exactly-zero terms, so the answer is
+    /// bitwise unchanged), while its batchmates still process it. Lazy-mode
+    /// questions never prune (no running max exists until the division).
     ///
     /// Each chunk of memories is streamed once per batch and applied to
     /// every live question while cache-resident: one tiled batched
@@ -293,6 +668,14 @@ impl BatchEngine {
     /// [`crate::Executor::forward_segmented_budgeted`] run with the same
     /// config. Network serving relies on this: a coalesced batch returns
     /// the same bits as a sequence of single-question asks.
+    ///
+    /// With [`MnnFastConfig::threads`] above one, every visited segment of
+    /// two or more chunks is split across that many threads (see the module
+    /// docs); the chunk partials are folded in the same global order, so
+    /// answers, stats and the [`Phase::BatchGemm`]/[`Phase::Skip`] counts
+    /// equal the sequential pass's. Helper phase times are CPU time summed
+    /// across threads, and the in-order fold of staged partials is timed
+    /// under [`Phase::Merge`].
     ///
     /// # Errors
     ///
@@ -323,12 +706,34 @@ impl BatchEngine {
         probe.check(m_in, m_out, first)?;
         check_rows(m_in, rows, "BatchEngine::forward_budgeted")?;
         check_ragged(questions, first.len())?;
+        match self.config.softmax {
+            SoftmaxMode::Lazy => self.segmented_pass::<LazyAccumulator>(
+                m_in, m_out, plan, questions, scratch, trace, budgets,
+            ),
+            SoftmaxMode::Online => self.segmented_pass::<OnlineSoftmax>(
+                m_in, m_out, plan, questions, scratch, trace, budgets,
+            ),
+        }
+    }
 
-        let ed = first.len();
+    /// [`BatchEngine::forward_segmented_budgeted`] after validation, for
+    /// one softmax mode.
+    #[allow(clippy::too_many_arguments)]
+    fn segmented_pass<A: BatchSoftmax>(
+        &self,
+        m_in: &Matrix,
+        m_out: &Matrix,
+        plan: &SegmentPlan<'_>,
+        questions: &[Vec<f32>],
+        scratch: &mut Scratch,
+        trace: &mut Trace,
+        budgets: &[Budget],
+    ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
+        let rows = plan.rows();
+        let ed = questions[0].len();
         let nq = questions.len();
         let chunk = self.config.chunk_size;
-        let mode = self.config.softmax;
-        let fused = self.config.fused;
+        let threads = self.config.threads.max(1);
 
         // Stage the arena: flatten the questions, reset the per-question
         // accumulators and bookkeeping, grow the logits tile.
@@ -346,43 +751,25 @@ impl BatchEngine {
         scratch
             .batch_query_norms
             .extend(questions.iter().map(|q| segment::query_norm_upper(q)));
-        if scratch.batch_stats.len() < nq {
-            scratch.batch_stats.resize_with(nq, InferenceStats::default);
-        }
-        for s in &mut scratch.batch_stats[..nq] {
-            *s = InferenceStats::default();
-        }
+        scratch.batch_stats.clear();
+        scratch.batch_stats.resize(nq, InferenceStats::default());
         let logit_len = nq * chunk.min(rows.max(1));
         if scratch.batch_logits.len() < logit_len {
             scratch.batch_logits.resize(logit_len, 0.0);
         }
-        match mode {
-            SoftmaxMode::Lazy => {
-                if scratch.batch_lazy.len() < nq {
-                    scratch.batch_lazy.resize_with(nq, LazyAccumulator::default);
-                }
-                if scratch.batch_chunk_lazy.len() < nq {
-                    scratch
-                        .batch_chunk_lazy
-                        .resize_with(nq, LazyAccumulator::default);
-                }
-                for a in &mut scratch.batch_lazy[..nq] {
-                    a.reset(ed);
-                }
+        for slots in [
+            A::slots(&mut scratch.batch_lazy, &mut scratch.batch_online),
+            A::slots(
+                &mut scratch.batch_chunk_lazy,
+                &mut scratch.batch_chunk_online,
+            ),
+        ] {
+            if slots.len() < nq {
+                slots.resize_with(nq, A::default);
             }
-            SoftmaxMode::Online => {
-                if scratch.batch_online.len() < nq {
-                    scratch.batch_online.resize_with(nq, OnlineSoftmax::default);
-                }
-                if scratch.batch_chunk_online.len() < nq {
-                    scratch
-                        .batch_chunk_online
-                        .resize_with(nq, OnlineSoftmax::default);
-                }
-                for a in &mut scratch.batch_online[..nq] {
-                    a.reset(ed);
-                }
-            }
+        }
+        for a in &mut A::slots(&mut scratch.batch_lazy, &mut scratch.batch_online)[..nq] {
+            a.reset_to(ed);
         }
 
         // Threshold resolution (the Probability pre-pass streams the prefix
@@ -390,6 +777,7 @@ impl BatchEngine {
         let t0 = trace.begin();
         self.resolve_thresholds_into(m_in, rows, nq, ed, scratch, budgets);
         trace.record(Phase::Skip, t0, 0);
+        scratch.batch_dead.reset(&scratch.batch_live[..nq]);
 
         // Main segmented chunk loop.
         {
@@ -401,30 +789,46 @@ impl BatchEngine {
                 batch_chunk_lazy,
                 batch_chunk_online,
                 batch_thresholds,
-                batch_live,
                 batch_skipped,
                 batch_stats,
                 batch_seg_live,
                 batch_query_norms,
+                batch_dead,
+                batch_lanes,
                 ..
             } = scratch;
+            let running = &mut A::slots(batch_lazy, batch_online)[..nq];
+            let partials = &mut A::slots(batch_chunk_lazy, batch_chunk_online)[..nq];
+            let abort = AtomicBool::new(false);
+            let inp = ChunkInputs {
+                m_in,
+                m_out,
+                us: batch_us,
+                thresholds: batch_thresholds,
+                budgets,
+                dead: batch_dead,
+                abort: &abort,
+                chunk,
+                ed,
+                fused: self.config.fused,
+            };
             for seg in plan.segments() {
                 // Per-question prune decision for this segment. A freshly
                 // reset accumulator's running max is -inf, so the first
-                // segment can never prune; Lazy mode never prunes (it has
-                // no running max until the final division).
+                // segment can never prune.
                 let mut any_visit = false;
                 for q in 0..nq {
-                    let mut visit = batch_live[q];
+                    let mut visit = !batch_dead.is_dead(q);
                     if visit {
                         batch_stats[q].segments_total += 1;
-                        if plan.prune() && matches!(mode, SoftmaxMode::Online) {
-                            let running_max = batch_online[q].max_logit();
-                            let ub = seg.logit_upper_bound(batch_query_norms[q]);
-                            if segment::can_prune(running_max, ub) {
-                                batch_stats[q].segments_pruned += 1;
-                                batch_stats[q].rows_pruned += seg.rows as u64;
-                                visit = false;
+                        if plan.prune() {
+                            if let Some(running_max) = running[q].running_max() {
+                                let ub = seg.logit_upper_bound(batch_query_norms[q]);
+                                if segment::can_prune(running_max, ub) {
+                                    batch_stats[q].segments_pruned += 1;
+                                    batch_stats[q].rows_pruned += seg.rows as u64;
+                                    visit = false;
+                                }
                             }
                         }
                     }
@@ -432,109 +836,36 @@ impl BatchEngine {
                     any_visit |= visit;
                 }
                 if any_visit {
-                    let seg_end = seg.start + seg.rows;
-                    let mut row = seg.start;
-                    while row < seg_end {
-                        let mut n_live = 0u64;
-                        for q in 0..nq {
-                            if batch_live[q] && budgets[q].check().is_err() {
-                                batch_live[q] = false;
-                            }
-                            batch_seg_live[q] &= batch_live[q];
-                            if batch_seg_live[q] {
-                                n_live += 1;
-                            }
-                        }
-                        if n_live == 0 {
-                            break;
-                        }
-                        let n = chunk.min(seg_end - row);
-                        let in_flat = m_in.rows_slice(row, n);
-                        let out_flat = m_out.rows_slice(row, n);
-                        for s in batch_skipped[..nq].iter_mut() {
-                            *s = 0;
-                        }
-                        // The chunk is streamed from memory once and applied
-                        // to every live question while resident — that is the
-                        // batching win. Each question fills a fresh chunk
-                        // partial and merges it into its running accumulator,
-                        // the single-question engine's discipline; the tiled
-                        // kernels give each question the bits its lone pass
-                        // would compute (see `mnn_tensor::simd`).
-                        let t0 = trace.begin();
-                        let live = &batch_seg_live[..nq];
-                        match mode {
-                            SoftmaxMode::Lazy => {
-                                let partials = &mut batch_chunk_lazy[..nq];
-                                for (p, _) in partials.iter_mut().zip(live).filter(|(_, l)| **l) {
-                                    p.reset(ed);
-                                }
-                                LazyAccumulator::accumulate_chunk_batch(
-                                    partials,
-                                    in_flat,
-                                    out_flat,
-                                    n,
-                                    batch_us,
-                                    batch_thresholds,
-                                    live,
-                                    fused,
-                                    batch_logits,
-                                    batch_skipped,
-                                );
-                                for ((run, p), _) in batch_lazy
-                                    .iter_mut()
-                                    .zip(partials.iter())
-                                    .zip(live)
-                                    .filter(|(_, l)| **l)
-                                {
-                                    mnn_tensor::partial::merge_lazy_into(run, p);
-                                }
-                            }
-                            SoftmaxMode::Online => {
-                                let partials = &mut batch_chunk_online[..nq];
-                                for (p, _) in partials.iter_mut().zip(live).filter(|(_, l)| **l) {
-                                    p.reset(ed);
-                                }
-                                OnlineSoftmax::accumulate_chunk_batch(
-                                    partials,
-                                    in_flat,
-                                    out_flat,
-                                    n,
-                                    batch_us,
-                                    batch_thresholds,
-                                    live,
-                                    batch_logits,
-                                    batch_skipped,
-                                );
-                                for ((run, p), _) in batch_online
-                                    .iter_mut()
-                                    .zip(partials.iter())
-                                    .zip(live)
-                                    .filter(|(_, l)| **l)
-                                {
-                                    mnn_tensor::partial::merge_online_into(run, p);
-                                }
-                            }
-                        }
-                        trace.record(Phase::BatchGemm, t0, n as u64 * n_live);
-                        let mut chunk_skipped = 0u64;
-                        for q in 0..nq {
-                            if !batch_seg_live[q] {
-                                continue;
-                            }
-                            let d = batch_skipped[q];
-                            chunk_skipped += d;
-                            let kept = n as u64 - d;
-                            let s = &mut batch_stats[q];
-                            s.chunks += 1;
-                            s.rows_total += n as u64;
-                            s.rows_skipped += d;
-                            s.flops += n as u64 + kept * 2 * ed as u64;
-                            s.ws_flops += kept * 2 * ed as u64;
-                            s.flops_skipped += d * 2 * ed as u64;
-                        }
-                        trace.bump(Phase::Skip, chunk_skipped);
-                        row += n;
+                    let (start, end) = (seg.start, seg.start + seg.rows);
+                    let mut main = Lane {
+                        live: &mut batch_seg_live[..nq],
+                        logits: &mut batch_logits[..logit_len],
+                        skipped: &mut batch_skipped[..nq],
+                        stats: &mut batch_stats[..nq],
+                        trace: &mut *trace,
+                    };
+                    if threads.min(seg.rows.div_ceil(chunk)) > 1 {
+                        split_segment(
+                            &inp,
+                            &mut main,
+                            partials,
+                            running,
+                            batch_lanes,
+                            start,
+                            end,
+                            threads,
+                        )?;
+                    } else {
+                        run_chunks(
+                            &inp,
+                            &mut main,
+                            Sink::Fold {
+                                partials: &mut *partials,
+                                running: &mut *running,
+                            },
+                            start,
+                            end,
+                        );
                     }
                 }
                 // Segment boundary: the opt-in wire roundtrip of every live
@@ -542,22 +873,9 @@ impl BatchEngine {
                 // full merge state across the segment handoff.
                 let t0 = trace.begin();
                 if mnn_tensor::partial::wire_merge_enabled() {
-                    match mode {
-                        SoftmaxMode::Lazy => {
-                            for q in 0..nq {
-                                if batch_live[q] {
-                                    batch_lazy[q] =
-                                        mnn_tensor::partial::roundtrip_lazy(&batch_lazy[q]);
-                                }
-                            }
-                        }
-                        SoftmaxMode::Online => {
-                            for q in 0..nq {
-                                if batch_live[q] {
-                                    batch_online[q] =
-                                        mnn_tensor::partial::roundtrip_online(&batch_online[q]);
-                                }
-                            }
+                    for (q, run) in running.iter_mut().enumerate() {
+                        if !batch_dead.is_dead(q) {
+                            *run = run.wire_roundtrip();
                         }
                     }
                 }
@@ -571,26 +889,21 @@ impl BatchEngine {
         let mut results = Vec::with_capacity(nq);
         let mut divisions = 0u64;
         for (q, budget) in budgets.iter().enumerate().take(nq) {
-            if !scratch.batch_live[q] {
+            if scratch.batch_dead.is_dead(q) {
                 // A deadline cannot un-expire and a token cannot un-cancel,
                 // so re-checking reproduces the error that killed the slot.
                 let err = budget.check().err().unwrap_or(EngineError::Cancelled);
                 results.push(Err(err));
                 continue;
             }
-            let denominator = match mode {
-                SoftmaxMode::Lazy => scratch.batch_lazy[q].denom(),
-                SoftmaxMode::Online => scratch.batch_online[q].denom(),
-            };
+            let running = &A::slots(&mut scratch.batch_lazy, &mut scratch.batch_online)[q];
+            let denominator = running.denominator();
             if let Err(e) = check_denom(denominator, "batch merge") {
                 results.push(Err(e));
                 continue;
             }
             let mut o = scratch.take_out(ed);
-            match mode {
-                SoftmaxMode::Lazy => scratch.batch_lazy[q].finish_into(&mut o),
-                SoftmaxMode::Online => scratch.batch_online[q].finish_into(&mut o),
-            }
+            A::slots(&mut scratch.batch_lazy, &mut scratch.batch_online)[q].finish(&mut o);
             if let Err(e) = check_output(&o) {
                 scratch.recycle(o);
                 results.push(Err(e));
@@ -984,163 +1297,6 @@ impl BatchEngine {
         }
     }
 
-    /// Processes rows `[start, end)` for every question; returns the
-    /// per-question accumulators, per-question stats (inner-product flops
-    /// excluded — the chunk GEMM is shared work), memory bytes, and the
-    /// batch-level GEMM flops.
-    #[allow(clippy::too_many_arguments)]
-    fn process_rows(
-        &self,
-        m_in: &Matrix,
-        m_out: &Matrix,
-        us_flat: &[f32],
-        nq: usize,
-        thresholds: &[Option<f32>],
-        start: usize,
-        end: usize,
-    ) -> (BatchAccum, Vec<InferenceStats>, u64, u64) {
-        let ed = us_flat.len() / nq.max(1);
-        let chunk = self.config.chunk_size;
-        let mut acc = match self.config.softmax {
-            SoftmaxMode::Lazy => BatchAccum::Lazy(vec![LazyAccumulator::new(ed); nq]),
-            SoftmaxMode::Online => BatchAccum::Online(vec![OnlineSoftmax::new(ed); nq]),
-        };
-        let mut per_q = vec![InferenceStats::default(); nq];
-        let mut mem_bytes = 0u64;
-        let mut gemm_flops = 0u64;
-        if start >= end || nq == 0 {
-            return (acc, per_q, mem_bytes, gemm_flops);
-        }
-        let mut logits = vec![0.0f32; nq * chunk.min(end - start)];
-        let live = vec![true; nq];
-        let mut skipped = vec![0u64; nq];
-        let mut partial = match self.config.softmax {
-            SoftmaxMode::Lazy => BatchAccum::Lazy(vec![LazyAccumulator::new(ed); nq]),
-            SoftmaxMode::Online => BatchAccum::Online(vec![OnlineSoftmax::new(ed); nq]),
-        };
-
-        let mut row = start;
-        while row < end {
-            let n = chunk.min(end - row);
-            let in_flat = m_in.rows_slice(row, n);
-            let out_flat = m_out.rows_slice(row, n);
-            for s in skipped.iter_mut() {
-                *s = 0;
-            }
-            // Chunk partial → merge, the same discipline as the
-            // single-question engines: Online relative weights are
-            // chunk-local, so skip decisions match per-question runs.
-            match (&mut acc, &mut partial) {
-                (BatchAccum::Lazy(run), BatchAccum::Lazy(part)) => {
-                    for p in part.iter_mut() {
-                        p.reset(ed);
-                    }
-                    LazyAccumulator::accumulate_chunk_batch(
-                        part,
-                        in_flat,
-                        out_flat,
-                        n,
-                        us_flat,
-                        thresholds,
-                        &live,
-                        self.config.fused,
-                        &mut logits,
-                        &mut skipped,
-                    );
-                    for (r, p) in run.iter_mut().zip(part.iter()) {
-                        mnn_tensor::partial::merge_lazy_into(r, p);
-                    }
-                }
-                (BatchAccum::Online(run), BatchAccum::Online(part)) => {
-                    for p in part.iter_mut() {
-                        p.reset(ed);
-                    }
-                    OnlineSoftmax::accumulate_chunk_batch(
-                        part,
-                        in_flat,
-                        out_flat,
-                        n,
-                        us_flat,
-                        thresholds,
-                        &live,
-                        &mut logits,
-                        &mut skipped,
-                    );
-                    for (r, p) in run.iter_mut().zip(part.iter()) {
-                        mnn_tensor::partial::merge_online_into(r, p);
-                    }
-                }
-                _ => unreachable!("softmax mode is fixed per engine"),
-            }
-            gemm_flops += kernels::gemm_flops(n, ed, nq);
-            mem_bytes += 2 * (n * ed * 4) as u64; // M_IN + M_OUT, once for all nq
-            for q in 0..nq {
-                let d = skipped[q];
-                let kept = n as u64 - d;
-                per_q[q].chunks += 1;
-                per_q[q].rows_total += n as u64;
-                per_q[q].rows_skipped += d;
-                per_q[q].flops += n as u64 + kept * 2 * ed as u64;
-                per_q[q].ws_flops += kept * 2 * ed as u64;
-                per_q[q].flops_skipped += d * 2 * ed as u64;
-            }
-            row += n;
-        }
-        (acc, per_q, mem_bytes, gemm_flops)
-    }
-
-    /// Per-question raw thresholds; the Probability pre-pass streams the
-    /// memories once for the whole batch on the tiled GEMM, charging its
-    /// flops and `memory_bytes` once per batch.
-    fn resolve_thresholds(
-        &self,
-        m_in: &Matrix,
-        us_flat: &[f32],
-        nq: usize,
-        stats: &mut InferenceStats,
-    ) -> Result<Vec<Option<f32>>, EngineError> {
-        match self.config.skip {
-            SkipPolicy::None => Ok(vec![None; nq]),
-            SkipPolicy::RawWeight(th) => Ok(vec![Some(th); nq]),
-            SkipPolicy::Probability(th) => {
-                let ed = us_flat.len() / nq;
-                let chunk = self.config.chunk_size;
-                let ns = m_in.rows();
-                let mut max_logit = vec![f32::NEG_INFINITY; nq];
-                let mut denom_rel = vec![0.0f64; nq];
-                let mut raw_denom = vec![0.0f64; nq];
-                let mut logits = vec![0.0f32; nq * chunk.min(ns.max(1))];
-
-                let mut row = 0usize;
-                while row < ns {
-                    let n = chunk.min(ns - row);
-                    let flat = m_in.rows_slice(row, n);
-                    kernels::gemm_chunk(flat, n, us_flat, nq, &mut logits[..nq * n]);
-                    stats.flops += kernels::gemm_flops(n, ed, nq); // once, not per question
-                    for q in 0..nq {
-                        for &x in &logits[q * n..(q + 1) * n] {
-                            if x > max_logit[q] {
-                                denom_rel[q] *= ((max_logit[q] - x) as f64).exp();
-                                max_logit[q] = x;
-                            }
-                            denom_rel[q] += ((x - max_logit[q]) as f64).exp();
-                            raw_denom[q] += (x as f64).exp();
-                            stats.flops += 1;
-                        }
-                    }
-                    stats.memory_bytes += (n * ed * 4) as u64; // chunk loaded once for all nq
-                    row += n;
-                }
-                Ok((0..nq)
-                    .map(|q| match self.config.softmax {
-                        SoftmaxMode::Lazy => Some((th as f64 * raw_denom[q]) as f32),
-                        SoftmaxMode::Online => Some((th as f64 * denom_rel[q]) as f32),
-                    })
-                    .collect())
-            }
-        }
-    }
-
     /// Budget-aware threshold resolution into `scratch.batch_thresholds`
     /// (allocation-free once the arena has grown). Questions whose budget
     /// fails during the pre-pass go dead in `scratch.batch_live` and keep a
@@ -1243,23 +1399,6 @@ fn check_ragged(questions: &[Vec<f32>], ed: usize) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Builds a per-question [`ColumnOutput`], adding the question's share of
-/// the chunk GEMM (as a GEMV count) and the final division to its stats.
-fn finish_output(
-    denominator: f32,
-    o: Vec<f32>,
-    mut stats: InferenceStats,
-    ed: usize,
-) -> ColumnOutput {
-    stats.divisions = ed as u64;
-    stats.flops += ed as u64 + kernels::gemv_flops(stats.rows_total as usize, ed);
-    ColumnOutput {
-        o,
-        denominator,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1339,7 +1478,9 @@ mod tests {
                         .forward(&m_in, &m_out, &questions)
                         .unwrap();
                 for (a, b) in par.outputs.iter().zip(&seq.outputs) {
-                    assert_slice_approx_eq(&a.o, &b.o, 1e-4);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a.o), bits(&b.o), "threads {threads}, {skip:?}");
+                    assert_eq!(a.denominator.to_bits(), b.denominator.to_bits());
                     assert_eq!(a.stats.rows_skipped, b.stats.rows_skipped);
                 }
                 assert_eq!(par.stats.rows_total, seq.stats.rows_total);

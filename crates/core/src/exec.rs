@@ -518,6 +518,10 @@ pub struct Scratch {
     // norm upper bounds.
     pub(crate) batch_seg_live: Vec<bool>,
     pub(crate) batch_query_norms: Vec<f64>,
+    // Split batched path: per-question budget-failure marks shared by the
+    // threads of one pass, and each helper thread's staging arena.
+    pub(crate) batch_dead: crate::batch::DeadMarks,
+    pub(crate) batch_lanes: Vec<crate::batch::BatchLane>,
     // Quantized (int8) path: the quantized query for single-question passes
     // and the flattened quantized question block + per-question scales for
     // the batched path. Queries are quantized once per pass, here, so the
@@ -758,6 +762,15 @@ impl fmt::Display for EngineKind {
 /// (roughly an LLC slice; both memories no longer fit in-cache).
 const STREAMING_BYTES_THRESHOLD: u64 = 4 << 20;
 
+/// Chunk work, in memory rows × questions, at which [`EngineKind::Auto`]
+/// splits a pass across [`MnnFastConfig::threads`]. Near the crossover the
+/// thread spawns and the staged fold eat what the second core returns:
+/// on a 2-vCPU host at ed 64, chunk 64, two threads ran one question
+/// 0.95x at 8192 rows and 1.19x at 16384, and 8 questions 1.15x at 4096
+/// rows. The constant sits a factor of two above that, where every
+/// measured shape won by 1.3x or more (DESIGN.md §12).
+pub const SPLIT_MIN_WORK: usize = 65_536;
+
 /// Declarative engine selection: a [`MnnFastConfig`] plus an
 /// [`EngineKind`].
 ///
@@ -793,21 +806,27 @@ impl ExecPlan {
         self
     }
 
-    /// Resolves the concrete variant for a pass over `rows` memory entries
-    /// of embedding dimension `ed`.
+    /// Resolves the concrete variant for a single-question pass over
+    /// `rows` memory entries of embedding dimension `ed`.
     ///
     /// [`EngineKind::Auto`] picks:
     /// * [`EngineKind::Parallel`] when more than one thread is configured
-    ///   and every worker gets at least two chunks of work;
+    ///   and the pass holds at least [`SPLIT_MIN_WORK`] rows × questions;
     /// * otherwise [`EngineKind::Streaming`] when the working set
     ///   (`2 × rows × ed × 4` bytes) exceeds ~4 MiB, so overlapping the
     ///   chunk loads pays;
     /// * otherwise [`EngineKind::Column`].
+    ///
+    /// A pinned kind resolves to itself.
     pub fn resolve(&self, rows: usize, ed: usize) -> EngineKind {
+        self.resolve_batch(rows, ed, 1)
+    }
+
+    /// [`ExecPlan::resolve`] for a pass answering `nq` questions at once.
+    fn resolve_batch(&self, rows: usize, ed: usize, nq: usize) -> EngineKind {
         match self.kind {
             EngineKind::Auto => {
-                let threads = self.config.threads;
-                if threads > 1 && rows >= threads * self.config.chunk_size * 2 {
+                if self.config.threads > 1 && rows.saturating_mul(nq) >= SPLIT_MIN_WORK {
                     return EngineKind::Parallel;
                 }
                 let working_set = 2 * (rows as u64) * (ed as u64) * 4;
@@ -818,6 +837,19 @@ impl ExecPlan {
                 }
             }
             kind => kind,
+        }
+    }
+
+    /// Threads a batched pass of `nq` questions over `rows` entries runs
+    /// on: the configured count when [`EngineKind::Auto`] would pick
+    /// [`EngineKind::Parallel`] for `rows × nq` of work (see
+    /// [`ExecPlan::resolve`]) or the plan is pinned to it, else one. The
+    /// batched engine has no streaming variant, so `Column` and
+    /// `Streaming` both run it sequentially.
+    pub fn batch_threads(&self, rows: usize, ed: usize, nq: usize) -> usize {
+        match self.resolve_batch(rows, ed, nq) {
+            EngineKind::Parallel => self.config.threads,
+            _ => 1,
         }
     }
 
@@ -1456,10 +1488,19 @@ impl Executor for PlanExecutor {
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        crate::BatchEngine::new(self.plan.config)
-            .forward_budgeted(m_in, m_out, rows, questions, scratch, trace, budgets)
+        self.forward_batch_segmented_budgeted(
+            m_in,
+            m_out,
+            &SegmentPlan::unsegmented(rows),
+            questions,
+            scratch,
+            trace,
+            budgets,
+        )
     }
 
+    /// The batched engine, split across threads only when
+    /// [`ExecPlan::batch_threads`] says the pass is big enough.
     fn forward_batch_segmented_budgeted(
         &self,
         m_in: &Matrix,
@@ -1470,7 +1511,9 @@ impl Executor for PlanExecutor {
         trace: &mut Trace,
         budgets: &[Budget],
     ) -> Result<Vec<Result<ColumnOutput, EngineError>>, EngineError> {
-        crate::BatchEngine::new(self.plan.config)
+        let ed = questions.first().map_or(0, Vec::len);
+        let threads = self.plan.batch_threads(plan.rows(), ed, questions.len());
+        crate::BatchEngine::new(self.plan.config.with_threads(threads))
             .forward_segmented_budgeted(m_in, m_out, plan, questions, scratch, trace, budgets)
     }
 
@@ -1578,7 +1621,8 @@ mod tests {
     fn auto_plan_resolution() {
         let plan = ExecPlan::new(MnnFastConfig::new(100).with_threads(4));
         assert_eq!(plan.resolve(10, 8), EngineKind::Column);
-        assert_eq!(plan.resolve(2_000, 8), EngineKind::Parallel);
+        assert_eq!(plan.resolve(2_000, 8), EngineKind::Column);
+        assert_eq!(plan.resolve(SPLIT_MIN_WORK, 8), EngineKind::Parallel);
 
         let single = ExecPlan::new(MnnFastConfig::new(100));
         assert_eq!(single.resolve(2_000, 8), EngineKind::Column);
@@ -1587,6 +1631,43 @@ mod tests {
 
         let pinned = ExecPlan::new(MnnFastConfig::new(100)).with_kind(EngineKind::Streaming);
         assert_eq!(pinned.resolve(1, 1), EngineKind::Streaming);
+    }
+
+    #[test]
+    fn auto_split_gate_is_rows_times_questions() {
+        let plan = ExecPlan::new(MnnFastConfig::new(64).with_threads(2));
+        // The interactive serving shape: 4096 rows, one question, stays
+        // sequential even at the largest coalesced batch of 8.
+        assert_eq!(plan.resolve(4096, 64), EngineKind::Column);
+        assert_eq!(plan.batch_threads(4096, 64, 1), 1);
+        assert_eq!(plan.batch_threads(4096, 64, 8), 1);
+        // The saturate shape splits, batched and alone.
+        assert_eq!(plan.resolve_batch(131_072, 64, 8), EngineKind::Parallel);
+        assert_eq!(plan.batch_threads(131_072, 64, 8), 2);
+        assert_eq!(plan.resolve(131_072, 64), EngineKind::Parallel);
+        // The gate sits exactly at the constant.
+        assert_eq!(plan.batch_threads(SPLIT_MIN_WORK / 4 - 1, 64, 4), 1);
+        assert_eq!(plan.batch_threads(SPLIT_MIN_WORK / 4, 64, 4), 2);
+        // One configured thread never splits.
+        let single = ExecPlan::new(MnnFastConfig::new(64));
+        assert_eq!(single.batch_threads(131_072, 64, 8), 1);
+    }
+
+    #[test]
+    fn pinned_kinds_keep_their_meaning_for_batches() {
+        let config = MnnFastConfig::new(64).with_threads(3);
+        let pinned = |kind| ExecPlan::new(config).with_kind(kind);
+        // A pinned Parallel always splits, however small the pass.
+        assert_eq!(pinned(EngineKind::Parallel).batch_threads(10, 4, 1), 3);
+        assert_eq!(
+            pinned(EngineKind::Parallel).resolve(10, 4),
+            EngineKind::Parallel
+        );
+        // Column and Streaming never split, however large.
+        for kind in [EngineKind::Column, EngineKind::Streaming] {
+            assert_eq!(pinned(kind).batch_threads(1 << 20, 64, 32), 1, "{kind}");
+            assert_eq!(pinned(kind).resolve_batch(1 << 20, 64, 32), kind);
+        }
     }
 
     #[test]

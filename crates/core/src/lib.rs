@@ -68,7 +68,7 @@ pub use config::{MnnFastConfig, Precision, SkipPolicy, SoftmaxMode};
 pub use engine::{ColumnEngine, ColumnOutput, EngineError};
 pub use exec::{
     EngineKind, ExecPlan, Executor, LatencyHistogram, Phase, PhaseHistograms, PlanExecutor,
-    Scratch, Trace,
+    Scratch, Trace, SPLIT_MIN_WORK,
 };
 pub use hops::{
     multi_hop, multi_hop_batch_budgeted, multi_hop_batch_segmented_budgeted, multi_hop_budgeted,

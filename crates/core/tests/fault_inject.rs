@@ -20,6 +20,7 @@ use mnnfast::{
     SegmentPlan, SoftmaxMode, Trace,
 };
 use std::sync::Mutex;
+use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -212,5 +213,59 @@ fn panicking_batched_worker_surfaces_worker_panicked() {
         // The engine stays usable: the next pass answers every question.
         let out = engine.forward(&m_in, &m_out, &questions).unwrap();
         assert_eq!(out.outputs.len(), questions.len());
+    }
+}
+
+#[test]
+fn slow_chunk_in_a_threaded_batch_fails_only_the_expired_slot() {
+    let _guard = lock();
+    let (m_in, m_out, u) = memories(96, 8, 59);
+    let questions: Vec<Vec<f32>> = (0..3)
+        .map(|q| u.iter().map(|x| x * (1.0 - q as f32 * 0.2)).collect())
+        .collect();
+    for mode in [SoftmaxMode::Lazy, SoftmaxMode::Online] {
+        let config = MnnFastConfig::new(8).with_softmax(mode);
+        let want = BatchEngine::new(config)
+            .forward(&m_in, &m_out, &questions)
+            .unwrap();
+
+        // The third chunk either thread runs sleeps past the middle
+        // question's deadline, so the next budget check on that thread
+        // kills it mid-pass.
+        fault::arm(FaultKind::SlowChunk(Duration::from_millis(60)), 2, 1);
+        let budgets = [
+            Budget::unlimited(),
+            Budget::with_deadline(Duration::from_millis(30)),
+            Budget::unlimited(),
+        ];
+        let got = BatchEngine::new(config.with_threads(2))
+            .forward_budgeted(
+                &m_in,
+                &m_out,
+                m_in.rows(),
+                &questions,
+                &mut Scratch::new(),
+                &mut Trace::disabled(),
+                &budgets,
+            )
+            .unwrap();
+        let fires = fault::fired();
+        fault::disarm();
+        assert_eq!(fires, 1, "{mode:?}");
+        assert!(
+            matches!(got[1], Err(EngineError::DeadlineExceeded { .. })),
+            "{mode:?}: {:?}",
+            got[1]
+        );
+        for q in [0, 2] {
+            let (g, w) = (got[q].as_ref().unwrap(), &want.outputs[q]);
+            let same =
+                g.o.iter()
+                    .zip(&w.o)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{mode:?}: batchmate q{q} drifted");
+            assert_eq!(g.denominator.to_bits(), w.denominator.to_bits());
+            assert_eq!(g.stats, w.stats, "{mode:?}: batchmate q{q} stats");
+        }
     }
 }

@@ -9,6 +9,12 @@
 //!     --tenants alpha=alice,beta=bob --max-batch 16 --batch-wait-us 500
 //! ```
 //!
+//! Sessions run at [`SessionConfig::default`]'s plan, which uses every core
+//! `std::thread::available_parallelism` reports: a forward pass holding at
+//! least `mnnfast::SPLIT_MIN_WORK` rows × questions splits its chunks
+//! across them (smaller passes stay on the scheduler thread), with answers
+//! bitwise identical to a single-threaded session's.
+//!
 //! Flags (every one has a default; `--listen`, `--net-threads`, and
 //! `--batch-wait-us` fall back to `MNNFAST_LISTEN`,
 //! `MNNFAST_NET_THREADS`, and `MNNFAST_BATCH_WAIT_US`):

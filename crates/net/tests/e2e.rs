@@ -638,3 +638,85 @@ fn sequential_observe_round_trips_never_stall() {
     }
     server.shutdown();
 }
+
+#[test]
+fn threaded_server_above_the_split_gate_matches_one_thread() {
+    // Every pass over this memory holds at least `SPLIT_MIN_WORK` rows ×
+    // questions, so the two-thread server splits even a lone ask; the
+    // in-process reference runs the same questions on one thread.
+    let (model, vocab, stories) = trained_model();
+    let rows = mnnfast::SPLIT_MIN_WORK;
+    let plan =
+        |threads| mnnfast::ExecPlan::new(mnnfast::MnnFastConfig::new(64).with_threads(threads));
+    assert_eq!(plan(2).batch_threads(rows, model.embedding_dim(), 1), 2);
+    let server_cfg = SessionConfig {
+        plan: plan(2),
+        ..SessionConfig::default()
+    };
+    let server = NetServer::spawn(
+        model.clone(),
+        vocab,
+        server_cfg,
+        server_config(&[("alpha", "alice")]),
+    )
+    .expect("server spawns");
+    let (mut client, _) = NetClient::connect(server.addr(), "alpha").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut reference = Session::new(
+        model,
+        SessionConfig {
+            plan: plan(1),
+            ..SessionConfig::default()
+        },
+    )
+    .expect("in-process session");
+
+    // Load the memory with a bounded pipeline of observes.
+    let sentences: Vec<_> = stories.iter().flat_map(|s| s.sentences.clone()).collect();
+    let mut in_flight = 0usize;
+    for i in 0..rows {
+        let sentence = &sentences[i % sentences.len()];
+        client.send_observe_tokens(sentence).expect("send observe");
+        reference.observe(sentence).expect("observe local");
+        in_flight += 1;
+        if in_flight == 32 || i + 1 == rows {
+            for _ in 0..in_flight {
+                match client.recv().expect("recv") {
+                    Response::Observed { .. } => {}
+                    other => panic!("expected an observe ack, got {other:?}"),
+                }
+            }
+            in_flight = 0;
+        }
+    }
+    assert_eq!(reference.memory_len(), rows);
+
+    // Pipeline the questions so the server coalesces some of them.
+    let questions: Vec<_> = stories.iter().flat_map(|s| s.questions.clone()).collect();
+    let ids: Vec<u64> = questions
+        .iter()
+        .map(|q| client.send_ask_tokens(&q.tokens).expect("send"))
+        .collect();
+    let mut answers = HashMap::new();
+    for _ in &ids {
+        match client.recv().expect("recv") {
+            Response::Answer(a) => {
+                answers.insert(a.id, a);
+            }
+            other => panic!("expected an answer, got {other:?}"),
+        }
+    }
+    for (q, id) in questions.iter().zip(&ids) {
+        let local = reference.ask(&q.tokens).expect("ask local");
+        let remote = &answers[id];
+        assert_eq!(remote.word, local.word, "answer word");
+        assert_eq!(
+            remote.probability.to_bits(),
+            local.probability.to_bits(),
+            "a split pass must carry the one-thread bits"
+        );
+    }
+    server.shutdown();
+}

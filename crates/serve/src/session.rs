@@ -56,7 +56,10 @@ pub struct SessionConfig {
     /// Execution plan: the MnnFast engine configuration (chunk size,
     /// skipping, softmax mode, threads) plus which engine variant runs it
     /// ([`mnnfast::EngineKind::Auto`] picks per question from the current
-    /// memory size).
+    /// memory size). The default is chunk 64 with one thread per core the
+    /// host offers: `Auto` splits a pass across them only once it holds
+    /// [`mnnfast::SPLIT_MIN_WORK`] rows × questions, and split answers are
+    /// bitwise identical to sequential ones.
     pub plan: ExecPlan,
     /// Memory bound in sentences (`None` = unbounded).
     pub max_sentences: Option<usize>,
@@ -145,7 +148,10 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> Self {
         Self {
-            plan: ExecPlan::new(MnnFastConfig::new(64)),
+            plan: ExecPlan::new(
+                MnnFastConfig::new(64)
+                    .with_threads(std::thread::available_parallelism().map_or(1, |n| n.get())),
+            ),
             max_sentences: None,
             trace: false,
             deadline: None,
